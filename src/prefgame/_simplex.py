@@ -6,8 +6,10 @@ real objective.  Pivots follow Bland's rule (smallest eligible index both
 entering and leaving), which rules out cycling, so the iteration cap is a
 backstop against bugs rather than a tuning knob.
 
-Problem sizes here are tiny (tens of variables), so everything is dense
-and no effort goes into factorization reuse.
+Problem sizes here are tiny (tens of variables), so everything is dense.
+Phase 1 depends only on A and b, so ``solve_standard_lps`` runs it once
+for a batch of objectives over the same constraints and starts each
+phase 2 from a copy of the feasible tableau.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class LPResult:
     x: np.ndarray
     objective: float
     iterations: int
+    phase_one_iterations: int
 
 
 def _pivot(tableau: np.ndarray, red: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -71,27 +74,16 @@ def _iterate(
             raise SolverError("simplex iteration cap exceeded; anti-cycling pivoting should prevent this")
 
 
-def solve_standard_lp(
-    c,
-    a_eq,
-    b_eq,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-) -> LPResult:
-    """Solve min c.x with A x = b, x >= 0.
+def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float):
+    """Find a basic feasible point of A x = b, x >= 0.
 
-    Returns an ``LPResult`` whose status is ``optimal``, ``infeasible``
-    (phase-1 artificial mass above ``feas_tol``) or ``unbounded``.  On
-    non-optimal statuses ``x`` and ``objective`` are not meaningful.
+    Minimizes the mass of artificial variables, then drives leftover
+    artificials out of the basis.  Returns ``(tableau, basis, iterations)``
+    with the artificial columns removed; ``tableau`` and ``basis`` are
+    ``None`` when the artificial mass stays above ``feas_tol``.  ``a`` and
+    ``b`` are modified in place.
     """
-    c = np.asarray(c, dtype=float)
-    a = np.array(a_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or c.ndim != 1:
-        raise SolverError("LP inputs must be (vector, matrix, vector)")
     m, n = a.shape
-    if b.shape[0] != m or c.shape[0] != n:
-        raise SolverError(f"LP shape mismatch: A is {a.shape}, b is {b.shape}, c is {c.shape}")
-
     flip = b < 0.0
     a[flip] *= -1.0
     b[flip] *= -1.0
@@ -108,7 +100,7 @@ def solve_standard_lp(
         raise SolverError("phase-1 subproblem cannot be unbounded")
     artificial_mass = -red[-1]
     if artificial_mass > feas_tol:
-        return LPResult(status=INFEASIBLE, x=np.zeros(n), objective=float("nan"), iterations=iterations)
+        return None, None, iterations
 
     # Drive leftover artificials out of the basis; a row with no usable real
     # column is redundant and gets dropped.
@@ -130,12 +122,67 @@ def solve_standard_lp(
         basis = basis[keep]
 
     tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
+    return tableau, basis, iterations
+
+
+def _phase_two(c: np.ndarray, tableau: np.ndarray, basis: np.ndarray, iterations: int) -> LPResult:
+    """Minimize c.x from a feasible tableau; ``tableau`` and ``basis`` are modified in place.
+
+    ``iterations`` is the phase-1 pivot count, which the cap also covers.
+    """
+    n = c.shape[0]
     cost_basis = c[basis]
     red = np.concatenate([c - cost_basis @ tableau[:, :n], [-(cost_basis @ tableau[:, -1])]])
-    iterations, status = _iterate(tableau, red, basis, n, iterations)
+    total, status = _iterate(tableau, red, basis, n, iterations)
     if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, x=np.zeros(n), objective=float("nan"), iterations=iterations)
+        return LPResult(UNBOUNDED, np.zeros(n), float("nan"), total, phase_one_iterations=iterations)
 
     x = np.zeros(n)
     x[basis] = tableau[:, -1]
-    return LPResult(status=OPTIMAL, x=x, objective=float(c @ x), iterations=iterations)
+    return LPResult(OPTIMAL, x, float(c @ x), total, phase_one_iterations=iterations)
+
+
+def solve_standard_lps(
+    cs,
+    a_eq,
+    b_eq,
+    feas_tol: float = DEFAULT_FEAS_TOL,
+) -> list[LPResult]:
+    """Solve min c.x with A x = b, x >= 0 for every objective c in ``cs``.
+
+    Phase 1 depends only on A and b, so it runs once; each objective's
+    phase 2 starts from its own copy of the feasible tableau.  Every result
+    is bit-identical to solving that objective alone.  Each ``LPResult``
+    has status ``optimal``, ``infeasible`` (phase-1 artificial mass above
+    ``feas_tol``, then every result is infeasible) or ``unbounded``; on
+    non-optimal statuses ``x`` and ``objective`` are not meaningful.
+    ``iterations`` counts the shared phase-1 pivots, given alone in
+    ``phase_one_iterations``, plus that objective's phase-2 pivots.
+    """
+    cs = [np.asarray(c, dtype=float) for c in cs]
+    a = np.array(a_eq, dtype=float)
+    b = np.array(b_eq, dtype=float)
+    if a.ndim != 2 or b.ndim != 1 or any(c.ndim != 1 for c in cs):
+        raise SolverError("LP inputs must be (vector, matrix, vector)")
+    m, n = a.shape
+    if b.shape[0] != m or any(c.shape[0] != n for c in cs):
+        shapes = ", ".join(str(c.shape) for c in cs)
+        raise SolverError(f"LP shape mismatch: A is {a.shape}, b is {b.shape}, c is {shapes}")
+
+    tableau, basis, iterations = _phase_one(a, b, feas_tol)
+    if tableau is None:
+        return [
+            LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations, phase_one_iterations=iterations)
+            for _ in cs
+        ]
+    return [_phase_two(c, tableau.copy(), basis.copy(), iterations) for c in cs]
+
+
+def solve_standard_lp(
+    c,
+    a_eq,
+    b_eq,
+    feas_tol: float = DEFAULT_FEAS_TOL,
+) -> LPResult:
+    """Solve min c.x with A x = b, x >= 0; see ``solve_standard_lps``."""
+    return solve_standard_lps([c], a_eq, b_eq, feas_tol)[0]

@@ -29,6 +29,7 @@ from .core import (
     Policy,
     PreferenceMatrix,
     PrefGameError,
+    SolverError,
     ValidationError,
     apply_mapping,
     make_payoff,
@@ -120,7 +121,9 @@ def monte_carlo(
     Each trial derives its own generator state from the master seed and the
     trial index, draws a size uniformly from ``n_range``, and checks the
     solved game's verdict.  Violations are tallied; when ``witness_dir`` is
-    set, each violating trial is dumped as a standalone JSON file.
+    set, each violating trial is dumped as a standalone JSON file.  A
+    ``SolverError`` in any trial aborts the run and names the trial, its n
+    and its generator seed.
     """
     n_min, n_max = n_range
     if trials < 1:
@@ -140,7 +143,12 @@ def monte_carlo(
         sub_seed = int(rng.integers(0, 2**63))
         cfg = GeneratorConfig(n=n, seed=sub_seed, force_no_winner=force_no_winner)
         pref = random_tournament(cfg)
-        nash = solve_maximin(apply_mapping(pref, mapping))
+        payoff = apply_mapping(pref, mapping)
+        try:
+            nash = solve_maximin(payoff)
+        except SolverError as exc:
+            # The message stays first so callers can still match on it.
+            raise SolverError(f"{exc} (monte-carlo trial {trial}: n={n}, seed={sub_seed})") from exc
         verdict = consistency_verdict(pref, nash)
         decomposition = smith_decomposition(pref)
         top_is_group = len(decomposition.top_group()) > 1

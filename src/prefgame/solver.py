@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import INFEASIBLE, OPTIMAL, solve_standard_lp
+from ._simplex import INFEASIBLE, OPTIMAL, solve_standard_lp, solve_standard_lps
 from .core import (
     DEFAULT_SUPPORT_THRESHOLD,
     PayoffMatrix,
@@ -243,27 +243,6 @@ def enumerate_equilibria(
     ]
 
 
-def _coordinate_bound(a: np.ndarray, floor: float, index: int, maximize: bool) -> float:
-    n = a.shape[0]
-    nv = 2 * n
-    a_eq = np.zeros((n + 1, nv))
-    a_eq[:n, :n] = a.T
-    a_eq[:n, n:] = -np.eye(n)
-    a_eq[n, :n] = 1.0
-    b_eq = np.concatenate([np.full(n, floor), [1.0]])
-    c = np.zeros(nv)
-    c[index] = -1.0 if maximize else 1.0
-    result = solve_standard_lp(c, a_eq, b_eq)
-    if result.status == INFEASIBLE:
-        raise SolverError(
-            "optimal-strategy polytope is empty; the report and payoff disagree"
-        )
-    if result.status != OPTIMAL:
-        raise SolverError(f"coordinate-range LP ended with status {result.status}")
-    bound = result.x[index]
-    return float(bound)
-
-
 def uniqueness_report(
     payoff: PayoffMatrix,
     nash: NashReport,
@@ -272,7 +251,8 @@ def uniqueness_report(
     """Measure the optimal-strategy polytope around a solved game.
 
     For each coordinate, two auxiliary LPs find its min and max over all
-    strategies guaranteeing the game value.  ``unique`` holds when every
+    strategies guaranteeing the game value.  All 2n LPs share their
+    constraints, so they share one phase 1.  ``unique`` holds when every
     coordinate is pinned to width at most ``tolerance``; the dual-support
     flag records whether every column weight of the opponent's strategy is
     active, the full-support condition tied to uniqueness.
@@ -283,10 +263,34 @@ def uniqueness_report(
     column_slacks = w @ a - nash.value
     dual_support_full = bool(np.all(nash.col_strategy.w > DEFAULT_SUPPORT_THRESHOLD))
     floor = nash.value - POLYTOPE_SLACK
-    ranges = np.zeros((n, 2))
-    for i in range(n):
-        ranges[i, 0] = _coordinate_bound(a, floor, i, maximize=False)
-        ranges[i, 1] = _coordinate_bound(a, floor, i, maximize=True)
+    # Variables: strategy weights, then one surplus per column constraint.
+    a_eq = np.zeros((n + 1, 2 * n))
+    a_eq[:n, :n] = a.T
+    a_eq[:n, n:] = -np.eye(n)
+    a_eq[n, :n] = 1.0
+    b_eq = np.concatenate([np.full(n, floor), [1.0]])
+    # Objective 2i minimizes coordinate i, objective 2i + 1 maximizes it.
+    objectives = np.zeros((2 * n, 2 * n))
+    index = np.arange(n)
+    objectives[2 * index, index] = 1.0
+    objectives[2 * index + 1, index] = -1.0
+    results = solve_standard_lps(objectives, a_eq, b_eq)
+    for result in results:
+        if result.status == INFEASIBLE:
+            raise SolverError(
+                "optimal-strategy polytope is empty; the report and payoff disagree"
+            )
+        if result.status != OPTIMAL:
+            raise SolverError(f"coordinate-range LP ended with status {result.status}")
+    ranges = np.array([result.x[k // 2] for k, result in enumerate(results)]).reshape(n, 2)
+    phase_one = results[0].phase_one_iterations
+    logger.debug(
+        "uniqueness probed: n=%d lps=%d phase1_iterations=%d phase2_iterations=%d",
+        n,
+        len(results),
+        phase_one,
+        sum(result.iterations - phase_one for result in results),
+    )
     widths = ranges[:, 1] - ranges[:, 0]
     unique = bool(np.all(widths <= tolerance))
     return UniquenessReport(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import prefgame as pg
+from prefgame import cli
 from prefgame.cli import run
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
@@ -292,6 +293,34 @@ def test_monte_carlo_violations_exit_one(files, capsys):
     assert dumped
     witness = json.loads((witness_dir / dumped[0]).read_text())
     assert "preferences" in witness
+
+
+def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
+    solve = cli.solve_maximin
+    calls = []
+
+    def fail_on_third(payoff):
+        calls.append(payoff.n)
+        if len(calls) == 3:
+            raise pg.SolverError("duality gap 1 exceeds tolerance 1e-09; the LP engine is inconsistent")
+        return solve(payoff)
+
+    monkeypatch.setattr(cli, "solve_maximin", fail_on_third)
+    with pytest.raises(pg.SolverError) as info:
+        cli.monte_carlo(pg.identity(), trials=5, seed=11)
+    message = str(info.value)
+    assert message.startswith("duality gap 1 exceeds tolerance 1e-09; the LP engine is inconsistent (")
+    assert f"(monte-carlo trial 2: n={calls[2]}, seed=" in message
+    assert isinstance(info.value.__cause__, pg.SolverError)
+
+    # Trial 2 draws its size and generator seed from SeedSequence([11, 2]).
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([11, 2])))
+    n = int(rng.integers(3, 9))
+    assert message.endswith(f"(monte-carlo trial 2: n={n}, seed={int(rng.integers(0, 2**63))})")
+
+    calls.clear()
+    assert run(["monte-carlo", "--trials", "5", "--seed", "11", "--no-timing"]) == 2
+    assert capsys.readouterr().err.startswith("error: duality gap 1 exceeds tolerance")
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -1,12 +1,14 @@
 """LP core, maximin solves, equilibrium enumeration, uniqueness probing."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
 import prefgame as pg
-from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp
+from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp, solve_standard_lps
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
 
@@ -215,3 +217,120 @@ class TestUniqueness:
         for lo, hi in report.coordinate_ranges:
             assert lo == pytest.approx(0.5, abs=1e-8)
             assert hi == pytest.approx(0.5, abs=1e-8)
+
+
+def reference_ranges(payoff, nash):
+    """Coordinate ranges from two separate LPs per coordinate, each with its own phase 1."""
+    a = payoff.a
+    n = payoff.n
+    a_eq = np.zeros((n + 1, 2 * n))
+    a_eq[:n, :n] = a.T
+    a_eq[:n, n:] = -np.eye(n)
+    a_eq[n, :n] = 1.0
+    b_eq = np.concatenate([np.full(n, nash.value - pg.solver.POLYTOPE_SLACK), [1.0]])
+    ranges = np.zeros((n, 2))
+    for i in range(n):
+        for side, sign in enumerate((1.0, -1.0)):
+            c = np.zeros(2 * n)
+            c[i] = sign
+            result = solve_standard_lp(c, a_eq, b_eq)
+            assert result.status == OPTIMAL
+            ranges[i, side] = float(result.x[i])
+    return ranges
+
+
+def btl_construction_one(n, index):
+    rng = np.random.default_rng(np.random.SeedSequence([1_605_627, n, index]))
+    return pg.construction_one(pg.pm_policy(pg.make_btl(rng.normal(0.0, 1.0, size=n))))
+
+
+def duplicated_row_game(seed, n):
+    a = np.random.default_rng(seed).random((n, n))
+    a[-1] = a[0]
+    return pg.make_payoff(a)
+
+
+SHARED_PHASE_ONE_GAMES = {
+    "rps": rps_game,
+    "swap": lambda: pg.make_payoff([[0.0, 1.0], [1.0, 0.0]]),
+    "random5": lambda: pg.make_payoff(np.random.default_rng(5).random((5, 5))),
+    "random7": lambda: pg.make_payoff(np.random.default_rng(8).random((7, 7))),
+    "constant2": lambda: pg.make_payoff([[0.7, 0.7], [0.7, 0.7]]),
+    "constant4": lambda: pg.make_payoff(np.full((4, 4), -1.5)),
+    "duplicated_row4": lambda: duplicated_row_game(1, 4),
+    "duplicated_row6": lambda: duplicated_row_game(2, 6),
+    "integer5": lambda: pg.make_payoff(np.random.default_rng(3).integers(-2, 3, size=(5, 5)).astype(float)),
+    "integer6": lambda: pg.make_payoff(np.random.default_rng(4).integers(-1, 2, size=(6, 6)).astype(float)),
+    "btl4": lambda: btl_construction_one(4, 0),
+    "btl10": lambda: btl_construction_one(10, 3),
+    "btl16": lambda: btl_construction_one(16, 7),
+}
+
+
+class TestSharedPhaseOne:
+    @pytest.mark.parametrize("name", sorted(SHARED_PHASE_ONE_GAMES))
+    def test_matches_separate_lps_bit_for_bit(self, name):
+        pay = SHARED_PHASE_ONE_GAMES[name]()
+        nash = pg.solve_maximin(pay)
+        report = pg.uniqueness_report(pay, nash)
+        expected = reference_ranges(pay, nash)
+        assert report.coordinate_ranges.tobytes() == expected.tobytes()
+        assert report.unique == bool(np.all(expected[:, 1] - expected[:, 0] <= 1e-8))
+
+    def test_reference_covers_unique_and_non_unique_games(self):
+        flags = {}
+        for name, make in SHARED_PHASE_ONE_GAMES.items():
+            pay = make()
+            flags[name] = pg.uniqueness_report(pay, pg.solve_maximin(pay)).unique
+        assert flags["rps"] and flags["btl16"] and flags["random5"]
+        assert not flags["constant4"] and not flags["duplicated_row6"] and not flags["integer6"]
+
+    def test_each_objective_matches_a_lone_solve(self):
+        c = np.array([[-1.0, -2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 1.0]])
+        a = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        b = np.array([4.0, 3.0])
+        shared = solve_standard_lps(c, a, b)
+        for row, result in zip(c, shared):
+            alone = solve_standard_lp(row, a, b)
+            assert result.status == alone.status == OPTIMAL
+            assert result.x.tobytes() == alone.x.tobytes()
+            assert result.iterations == alone.iterations
+            assert result.phase_one_iterations == shared[0].phase_one_iterations
+
+    def test_mixed_statuses(self):
+        # The second objective is unbounded below along x0 = x1; the first is not.
+        a = np.array([[1.0, -1.0]])
+        b = np.array([0.0])
+        results = solve_standard_lps([[1.0, 0.0], [-1.0, 0.0]], a, b)
+        assert [r.status for r in results] == [OPTIMAL, UNBOUNDED]
+
+    def test_infeasible_for_every_objective(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        b = np.array([1.0, 2.0])
+        results = solve_standard_lps([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]], a, b)
+        assert [r.status for r in results] == [INFEASIBLE] * 3
+
+    def test_wrong_objective_length_raises(self):
+        a = np.array([[1.0, 1.0]])
+        b = np.array([1.0])
+        with pytest.raises(pg.SolverError, match="shape mismatch"):
+            solve_standard_lps([[1.0, 0.0], [1.0, 0.0, 0.0]], a, b)
+        with pytest.raises(pg.SolverError, match="shape mismatch"):
+            solve_standard_lp([1.0], a, b)
+
+    def test_floor_above_value_reports_empty_polytope(self):
+        pay = rps_game()
+        nash = pg.solve_maximin(pay)
+        raised = dataclasses.replace(nash, value=nash.value + 0.1)
+        with pytest.raises(pg.SolverError, match="optimal-strategy polytope is empty"):
+            pg.uniqueness_report(pay, raised)
+
+    def test_debug_line_reports_the_sharing(self, caplog):
+        pay = rps_game()
+        nash = pg.solve_maximin(pay)
+        with caplog.at_level(logging.DEBUG, logger="prefgame.solver"):
+            pg.uniqueness_report(pay, nash)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uniqueness probed")]
+        assert len(lines) == 1
+        assert lines[0].startswith("uniqueness probed: n=3 lps=6 phase1_iterations=")
+
