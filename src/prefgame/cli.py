@@ -1,15 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: parse arguments, call the library, print reports.
 
-Subcommands wrap the library one-to-one: load inputs, run one operation,
-emit one report.  Reports go to stdout as JSON (``--format json``) or as a
-plain key/value table (default).  Exit codes: 0 on success, 1 when a
-requested verification found a violation, 2 on invalid input.
-
-The ``monte-carlo`` subcommand is the empirical harness: seeded random
-tournaments, solved and judged trial by trial, with violation witnesses
-optionally dumped for standalone reproduction.  Per-trial randomness comes
-from SeedSequence([master_seed, trial_index]), so trials are independent
-of execution order.
+Each subcommand loads its inputs, makes one library call and emits one
+report, to stdout as JSON (``--format json``) or as a plain key/value table
+(default).  Exit codes: 0 on success, 1 when a requested verification found
+a violation, 2 on invalid input.
 """
 
 from __future__ import annotations
@@ -19,8 +13,6 @@ import json
 import logging
 import os
 import sys
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +21,13 @@ from .core import (
     Policy,
     PreferenceMatrix,
     PrefGameError,
-    SolverError,
     ValidationError,
     apply_mapping,
     make_payoff,
     make_policy,
     validate_preferences,
 )
+from .experiment import monte_carlo
 from .generators import GeneratorConfig, game_four, game_six, game_two, random_tournament
 from .mappings import (
     MappingSpec,
@@ -43,7 +35,6 @@ from .mappings import (
     identity,
     log_odds,
     mapping_from_dict,
-    mapping_to_dict,
 )
 from .preference_matching import (
     btl_preferences,
@@ -55,10 +46,8 @@ from .preference_matching import (
     RatioPayoffSpec,
 )
 from .social_choice import consistency_verdict, smith_decomposition
-from .solver import solve_maximin
+from .solver import DEFAULT_SOLVER_TOL, DEFAULT_VERIFY_TOL, solve_maximin
 from . import __version__
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -70,144 +59,35 @@ _BUILTIN_MAPPINGS = {
 }
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
-    """Tally of one seeded verification run."""
-
-    trials: int
-    seed: int
-    psi: dict
-    n_min: int
-    n_max: int
-    force_no_winner: bool
-    violations_condorcet: int
-    violations_smith: int
-    violations_mixed: int
-    worst_mass_outside_smith: float
-    elapsed_ms: int
-
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "trials": self.trials,
-            "seed": self.seed,
-            "psi": self.psi,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "force_no_winner": self.force_no_winner,
-            "violations_condorcet": self.violations_condorcet,
-            "violations_smith": self.violations_smith,
-            "violations_mixed": self.violations_mixed,
-            "worst_mass_outside_smith": self.worst_mass_outside_smith,
-        }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
-
-    @property
-    def total_violations(self) -> int:
-        return self.violations_condorcet + self.violations_smith + self.violations_mixed
-
-
-def monte_carlo(
-    mapping: MappingSpec,
-    trials: int,
-    n_range: tuple[int, int] = (3, 8),
-    seed: int = 42,
-    force_no_winner: bool = False,
-    witness_dir: str | None = None,
-) -> MonteCarloSummary:
-    """Draw, solve and judge ``trials`` random tournaments.
-
-    Each trial derives its own generator state from the master seed and the
-    trial index, draws a size uniformly from ``n_range``, and checks the
-    solved game's verdict.  Violations are tallied; when ``witness_dir`` is
-    set, each violating trial is dumped as a standalone JSON file.  A
-    ``SolverError`` in any trial aborts the run and names the trial, its n
-    and its generator seed.
-    """
-    n_min, n_max = n_range
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if not 2 <= n_min <= n_max <= 10:
-        raise ValidationError(f"need 2 <= n_min <= n_max <= 10, got [{n_min}, {n_max}]")
-    if force_no_winner and n_min < 3:
-        raise ValidationError("force_no_winner requires n_min >= 3; two responses always have a winner")
-    start = time.perf_counter()
-    violations_condorcet = 0
-    violations_smith = 0
-    violations_mixed = 0
-    worst_mass = 0.0
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
-        n = int(rng.integers(n_min, n_max + 1))
-        sub_seed = int(rng.integers(0, 2**63))
-        cfg = GeneratorConfig(n=n, seed=sub_seed, force_no_winner=force_no_winner)
-        pref = random_tournament(cfg)
-        payoff = apply_mapping(pref, mapping)
-        try:
-            nash = solve_maximin(payoff)
-        except SolverError as exc:
-            # The message stays first so callers can still match on it.
-            raise SolverError(f"{exc} (monte-carlo trial {trial}: n={n}, seed={sub_seed})") from exc
-        verdict = consistency_verdict(pref, nash)
-        decomposition = smith_decomposition(pref)
-        top_is_group = len(decomposition.top_group()) > 1
-        bad_condorcet = verdict.condorcet_consistent is False
-        bad_smith = not verdict.smith_consistent
-        bad_mixed = top_is_group and not verdict.is_mixed
-        violations_condorcet += int(bad_condorcet)
-        violations_smith += int(bad_smith)
-        violations_mixed += int(bad_mixed)
-        worst_mass = max(worst_mass, verdict.mass_outside_smith)
-        if (bad_condorcet or bad_smith or bad_mixed) and witness_dir is not None:
-            _dump_witness(witness_dir, trial, pref, nash, verdict)
-    elapsed_ms = int((time.perf_counter() - start) * 1000.0)
-    return MonteCarloSummary(
-        trials=trials,
-        seed=seed,
-        psi=mapping_to_dict(mapping),
-        n_min=n_min,
-        n_max=n_max,
-        force_no_winner=force_no_winner,
-        violations_condorcet=violations_condorcet,
-        violations_smith=violations_smith,
-        violations_mixed=violations_mixed,
-        worst_mass_outside_smith=worst_mass,
-        elapsed_ms=elapsed_ms,
-    )
-
-
-def _dump_witness(witness_dir, trial, pref, nash, verdict) -> None:
-    os.makedirs(witness_dir, exist_ok=True)
-    payload = {
-        "trial": trial,
-        "preferences": pref.to_dict(),
-        "nash": nash.to_dict(),
-        "verdict": verdict.to_dict(),
-    }
-    path = os.path.join(witness_dir, f"witness_trial_{trial:05d}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    logger.info("violation witness written to %s", path)
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _check_declared_n(path: str, data: dict, n: int) -> None:
+    if "n" not in data:
+        return
+    try:
+        declared = int(data["n"])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: declared n={data['n']!r} is not an integer") from None
+    if declared != n:
+        raise ValidationError(f"{path}: declared n={data['n']} but matrix is {n}x{n}")
+
+
 def load_preferences(path: str) -> PreferenceMatrix:
     """Read a preference matrix from JSON ({"n", "p"}) or CSV rows."""
     if path.endswith(".csv"):
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not a numeric CSV matrix: {exc}") from None
         return validate_preferences(raw)
     data = _load_json(path)
     if "p" not in data:
         raise ValidationError(f"{path}: preference JSON needs a 'p' field")
     pref = validate_preferences(data["p"])
-    if "n" in data and int(data["n"]) != pref.n:
-        raise ValidationError(f"{path}: declared n={data['n']} but matrix is {pref.n}x{pref.n}")
+    _check_declared_n(path, data, pref.n)
     return pref
 
 
@@ -216,8 +96,7 @@ def load_payoff(path: str) -> PayoffMatrix:
     if "a" not in data:
         raise ValidationError(f"{path}: payoff JSON needs an 'a' field")
     payoff = make_payoff(data["a"])
-    if "n" in data and int(data["n"]) != payoff.n:
-        raise ValidationError(f"{path}: declared n={data['n']} but matrix is {payoff.n}x{payoff.n}")
+    _check_declared_n(path, data, payoff.n)
     return payoff
 
 
@@ -284,8 +163,7 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     pref = load_preferences(args.pref)
     mapping = load_mapping(args.psi)
-    tolerance = args.tol if args.tol is not None else 1e-9
-    nash = solve_maximin(apply_mapping(pref, mapping), tolerance=tolerance)
+    nash = solve_maximin(apply_mapping(pref, mapping), tolerance=args.tol)
     emit(nash.to_dict(), args)
     return EXIT_OK
 
@@ -338,8 +216,7 @@ def _cmd_btl(args) -> int:
 def _cmd_kkt(args) -> int:
     payoff = load_payoff(args.payoff)
     target = load_policy(args.target)
-    tolerance = args.tol if args.tol is not None else 1e-8
-    certificate = kkt_verify(payoff, target, tolerance=tolerance)
+    certificate = kkt_verify(payoff, target, tolerance=args.tol)
     emit(certificate.to_dict(), args)
     return EXIT_OK if certificate.feasible else EXIT_VIOLATION
 
@@ -360,8 +237,7 @@ def _ratio_spec_from_args(args, target_n: int) -> RatioPayoffSpec:
 def _cmd_pm_probe(args) -> int:
     target = load_policy(args.target)
     spec = _ratio_spec_from_args(args, target.n)
-    tolerance = args.tol if args.tol is not None else 1e-8
-    probe = pm_gap(spec, target, tolerance=tolerance)
+    probe = pm_gap(spec, target, tolerance=args.tol)
     emit(probe.to_dict(), args)
     return EXIT_OK
 
@@ -406,13 +282,11 @@ def _cmd_monte_carlo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="table")
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--witness-dir", dest="witness_dir", default=None)
-    common.add_argument("--no-timing", dest="no_timing", action="store_true")
+    # Every subcommand prints one report; the other flags go only on the
+    # subcommands that read them.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "table"), default="table")
+    output.add_argument("--out", default=None)
 
     parser = argparse.ArgumentParser(
         prog="prefgame",
@@ -421,50 +295,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a preference matrix file")
+    p = sub.add_parser("validate", parents=[output], help="check a preference matrix file")
     p.add_argument("--pref", required=True)
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("solve", parents=[common], help="solve the mapped game")
+    p = sub.add_parser("solve", parents=[output], help="solve the mapped game")
     p.add_argument("--pref", required=True)
     p.add_argument("--psi", required=True)
+    p.add_argument("--tol", type=float, default=DEFAULT_SOLVER_TOL)
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("decompose", parents=[common], help="ordered dominance decomposition")
+    p = sub.add_parser("decompose", parents=[output], help="ordered dominance decomposition")
     p.add_argument("--pref", required=True)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("check-psi", parents=[common], help="grid-check the mapping conditions")
+    p = sub.add_parser("check-psi", parents=[output], help="grid-check the mapping conditions")
     p.add_argument("--psi", required=True)
     p.add_argument("--grid", type=int, default=10_001)
     p.add_argument("--margin", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_check_psi)
 
-    p = sub.add_parser("verdict", parents=[common], help="solve and judge consistency")
+    p = sub.add_parser("verdict", parents=[output], help="solve and judge consistency")
     p.add_argument("--pref", required=True)
     p.add_argument("--psi", required=True)
     p.set_defaults(handler=_cmd_verdict)
 
-    p = sub.add_parser("btl", parents=[common], help="preferences and matching policy from rewards")
+    p = sub.add_parser("btl", parents=[output], help="preferences and matching policy from rewards")
     p.add_argument("--rewards", required=True)
     p.set_defaults(handler=_cmd_btl)
 
-    p = sub.add_parser("kkt", parents=[common], help="certify a target as maximin solution")
+    p = sub.add_parser("kkt", parents=[output], help="certify a target as maximin solution")
     p.add_argument("--payoff", required=True)
     p.add_argument("--target", required=True)
+    p.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p.set_defaults(handler=_cmd_kkt)
 
-    p = sub.add_parser("pm-probe", parents=[common], help="probe a ratio family against a target")
+    p = sub.add_parser("pm-probe", parents=[output], help="probe a ratio family against a target")
     p.add_argument("--target", required=True)
     p.add_argument("--family", choices=("btl", "degenerate"), default="btl")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--family-n", dest="family_n", type=int, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p.set_defaults(handler=_cmd_pm_probe)
 
-    p = sub.add_parser("gen", parents=[common], help="emit a preference matrix")
+    p = sub.add_parser("gen", parents=[output], help="emit a preference matrix")
     p.add_argument("what", choices=("random", "table2", "table4", "table6"))
     p.add_argument("--n", type=int, default=5)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--strength-low", dest="strength_low", type=float, default=0.55)
     p.add_argument("--strength-high", dest="strength_high", type=float, default=0.95)
     p.add_argument("--force-no-winner", dest="force_no_winner", action="store_true")
@@ -473,12 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=float, default=0.7)
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("monte-carlo", parents=[common], help="seeded random verification run")
+    p = sub.add_parser("monte-carlo", parents=[output], help="seeded random verification run")
     p.add_argument("--psi", default="identity")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n-min", dest="n_min", type=int, default=3)
     p.add_argument("--n-max", dest="n_max", type=int, default=8)
     p.add_argument("--force-no-winner", dest="force_no_winner", action="store_true")
+    p.add_argument("--witness-dir", dest="witness_dir", default=None)
+    p.add_argument("--no-timing", dest="no_timing", action="store_true")
     p.set_defaults(handler=_cmd_monte_carlo)
 
     return parser
@@ -493,10 +374,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PrefGameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as exc:
+    except (PrefGameError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

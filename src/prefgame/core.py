@@ -114,6 +114,13 @@ class Policy:
         return Policy(n=n, w=_as_readonly(np.full(n, 1.0 / n)))
 
 
+def _float_array(raw, what: str) -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be an array of numbers: {exc}") from None
+
+
 def _require_square(raw: np.ndarray, what: str) -> int:
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {raw.shape}")
@@ -146,10 +153,11 @@ def validate_preferences(
     Raises
     ------
     ValidationError
-        If the matrix is not square, has entries outside [0, 1], violates
-        the complement identity, or has a diagonal entry away from 1/2.
+        If the matrix is not a square array of numbers, has entries outside
+        [0, 1], violates the complement identity, or has a diagonal entry
+        away from 1/2.
     """
-    p = np.asarray(raw, dtype=float)
+    p = _float_array(raw, "preference matrix")
     n = _require_square(p, "preference matrix")
     if not np.all(np.isfinite(p)):
         raise ValidationError("preference entries must be finite")
@@ -177,7 +185,7 @@ def validate_preferences(
 
 def make_payoff(raw) -> PayoffMatrix:
     """Wrap a square array of finite reals as a payoff matrix."""
-    a = np.asarray(raw, dtype=float)
+    a = _float_array(raw, "payoff matrix")
     n = _require_square(a, "payoff matrix")
     if not np.all(np.isfinite(a)):
         raise ValidationError("payoff entries must be finite")
@@ -190,7 +198,7 @@ def make_policy(raw, tolerance: float = DEFAULT_VALIDATION_TOL) -> Policy:
     Small negative entries (at most ``tolerance`` in magnitude) are snapped
     to zero; the total mass must already be 1 within ``tolerance``.
     """
-    w = np.asarray(raw, dtype=float)
+    w = _float_array(raw, "policy")
     if w.ndim != 1 or w.size < 1:
         raise ValidationError(f"policy must be a nonempty vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):

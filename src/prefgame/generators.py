@@ -65,17 +65,16 @@ def random_tournament(cfg: GeneratorConfig) -> PreferenceMatrix:
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     n = cfg.n
+    rows, cols = np.triu_indices(n, 1)
+    low, high = cfg.strength_low, cfg.strength_high
     for _ in range(REJECTION_CAP):
+        # Pairs i < j in row-major order, each drawing its strength, then its coin.
+        draws = rng.random(2 * rows.size)
+        strength = low + (high - low) * draws[0::2]
+        row_wins = draws[1::2] < 0.5
         p = np.full((n, n), 0.5)
-        for i in range(n):
-            for j in range(i + 1, n):
-                strength = rng.uniform(cfg.strength_low, cfg.strength_high)
-                if rng.random() < 0.5:
-                    p[i, j] = strength
-                    p[j, i] = 1.0 - strength
-                else:
-                    p[j, i] = strength
-                    p[i, j] = 1.0 - strength
+        p[rows, cols] = np.where(row_wins, strength, 1.0 - strength)
+        p[cols, rows] = np.where(row_wins, 1.0 - strength, strength)
         pref = validate_preferences(p)
         if not cfg.force_no_winner or condorcet_winner(pref) is None:
             return pref

@@ -138,7 +138,10 @@ def piecewise_linear(points, clamp_epsilon: float = 0.0) -> MappingSpec:
     the final value.
     """
     _check_clamp(clamp_epsilon)
-    pts = tuple((float(t), float(v)) for t, v in points)
+    try:
+        pts = tuple((float(t), float(v)) for t, v in points)
+    except (TypeError, ValueError):
+        raise MappingError(f"piecewise_linear points must be (t, value) pairs of numbers, got {points!r}") from None
     if len(pts) < 2:
         raise MappingError("piecewise_linear needs at least two points")
     ts = np.array([t for t, _ in pts])
@@ -362,26 +365,36 @@ def mapping_to_dict(spec: MappingSpec) -> dict:
     return out
 
 
+def _number(data: dict, key: str) -> float:
+    try:
+        return float(data[key])
+    except (TypeError, ValueError):
+        raise MappingError(f"mapping field {key!r} must be a number, got {data[key]!r}") from None
+
+
 def mapping_from_dict(data: dict) -> MappingSpec:
     """Parse the documented JSON shape back into a validated spec."""
     if not isinstance(data, dict) or "kind" not in data:
         raise MappingError("mapping JSON must be an object with a 'kind' field")
     kind = data["kind"]
-    clamp = float(data.get("clamp_epsilon", LOG_ODDS_CLAMP if kind == "log_odds" else 0.0))
+    clamp = LOG_ODDS_CLAMP if kind == "log_odds" else 0.0
+    if "clamp_epsilon" in data:
+        clamp = _number(data, "clamp_epsilon")
     try:
         if kind == "identity":
-            spec = identity()
+            _check_clamp(clamp)
+            return MappingSpec(kind="identity", clamp_epsilon=clamp)
         elif kind == "log_odds":
             return log_odds(clamp_epsilon=clamp)
         elif kind == "affine":
-            return affine(float(data["a"]), float(data["b"]), clamp_epsilon=clamp)
+            return affine(_number(data, "a"), _number(data, "b"), clamp_epsilon=clamp)
         elif kind == "power":
-            return power(float(data["k"]), clamp_epsilon=clamp)
+            return power(_number(data, "k"), clamp_epsilon=clamp)
         elif kind == "piecewise_linear":
             return piecewise_linear(data["points"], clamp_epsilon=clamp)
         elif kind == "piecewise_constant":
             return piecewise_constant(
-                float(data["m_minus"]), float(data["mid"]), float(data["m_plus"])
+                _number(data, "m_minus"), _number(data, "mid"), _number(data, "m_plus")
             )
         elif kind == "symmetric_extension":
             return symmetric_extension(mapping_from_dict(data["base"]))
@@ -389,6 +402,3 @@ def mapping_from_dict(data: dict) -> MappingSpec:
             raise MappingError(f"unknown mapping kind {kind!r}")
     except KeyError as exc:
         raise MappingError(f"mapping JSON for kind {kind!r} is missing field {exc}") from None
-    if clamp:
-        spec = MappingSpec(kind=spec.kind, clamp_epsilon=clamp)
-    return spec

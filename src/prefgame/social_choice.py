@@ -180,10 +180,13 @@ def consistency_verdict(
     support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
     mass_tolerance: float = DEFAULT_MASS_TOL,
 ) -> ConsistencyVerdict:
-    """Relate a solved game's row strategy to the tournament structure."""
-    winner = condorcet_winner(pref)
-    decomposition = smith_decomposition(pref)
-    top = set(decomposition.top_group())
+    """Relate a solved game's row strategy to the tournament structure.
+
+    The Condorcet winner is read off the decomposition: in a tournament a
+    response beats every other one exactly when it forms the top group alone.
+    """
+    top = smith_decomposition(pref).top_group()
+    winner = top[0] if len(top) == 1 else None
     outside = [i for i in range(pref.n) if i not in top]
     mass_outside = float(nash.row_strategy.w[outside].sum()) if outside else 0.0
     support = nash.row_strategy.support(support_threshold)

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 import prefgame as pg
+from support_enumeration import enumerate_equilibria
 
 # Fixed bumpy half-table used as a symmetric extension base throughout.
 BUMPY_BASE = [(0.0, -1.3), (0.2, -0.9), (0.35, -0.2), (0.5, 0.4), (1.0, 0.4)]
@@ -105,7 +106,7 @@ def test_criterion_3_degenerate_game_has_pure_optimum():
     pay = pg.game_four(mapping, 0.9, 0.55)
     nash = pg.solve_maximin(pay)
     mass = float(nash.row_strategy.w[3])
-    equilibria = pg.enumerate_equilibria(pay)
+    equilibria = enumerate_equilibria(pay)
     value_dev = max(abs(v - nash.value) for _, _, v in equilibria)
     mixed_col = next(y for _, y, _ in equilibria if y.support() == [0, 1, 2])
     gap = pg.best_response_gap(pay, pg.Policy.delta(3, 4), mixed_col)
@@ -199,7 +200,7 @@ def test_criterion_7_solver_cross_validation():
         n = int(rng.integers(2, 7))
         pay = pg.make_payoff(rng.uniform(-5.0, 5.0, size=(n, n)))
         nash = pg.solve_maximin(pay)
-        equilibria = pg.enumerate_equilibria(pay)
+        equilibria = enumerate_equilibria(pay)
         if not equilibria:
             empty += 1
             continue

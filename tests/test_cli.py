@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface through ``cli.run``."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import prefgame as pg
-from prefgame import cli
+from prefgame import cli, experiment
 from prefgame.cli import run
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
@@ -296,7 +297,7 @@ def test_monte_carlo_violations_exit_one(files, capsys):
 
 
 def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
-    solve = cli.solve_maximin
+    solve = experiment.solve_maximin
     calls = []
 
     def fail_on_third(payoff):
@@ -305,9 +306,9 @@ def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
             raise pg.SolverError("duality gap 1 exceeds tolerance 1e-09; the LP engine is inconsistent")
         return solve(payoff)
 
-    monkeypatch.setattr(cli, "solve_maximin", fail_on_third)
+    monkeypatch.setattr(experiment, "solve_maximin", fail_on_third)
     with pytest.raises(pg.SolverError) as info:
-        cli.monte_carlo(pg.identity(), trials=5, seed=11)
+        pg.monte_carlo(pg.identity(), trials=5, seed=11)
     message = str(info.value)
     assert message.startswith("duality gap 1 exceeds tolerance 1e-09; the LP engine is inconsistent (")
     assert f"(monte-carlo trial 2: n={calls[2]}, seed=" in message
@@ -321,6 +322,68 @@ def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
     calls.clear()
     assert run(["monte-carlo", "--trials", "5", "--seed", "11", "--no-timing"]) == 2
     assert capsys.readouterr().err.startswith("error: duality gap 1 exceeds tolerance")
+
+
+@pytest.mark.parametrize(
+    "name,content,role",
+    [
+        ("cell.csv", "0.5,x\n0.5,0.5\n", "pref"),
+        ("ragged.json", json.dumps({"p": [[0.5, 0.9, 0.1], [0.1, 0.5]]}), "pref"),
+        ("power.json", json.dumps({"kind": "power", "k": "x"}), "psi"),
+        ("declared.json", json.dumps({"n": "abc", "p": RPS}), "pref"),
+    ],
+    ids=["csv-cell", "ragged-matrix", "mapping-field", "declared-n"],
+)
+def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role):
+    good = tmp_path / "rps.json"
+    good.write_text(json.dumps({"n": 3, "p": RPS}))
+    bad = tmp_path / name
+    bad.write_text(content)
+    inputs = {"pref": str(good), "psi": "identity", role: str(bad)}
+    assert run(["solve", "--pref", inputs["pref"], "--psi", inputs["psi"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# The flags each subcommand reads; a flag it would ignore must not parse.
+SUBCOMMAND_FLAGS = {
+    "validate": {"--pref"},
+    "solve": {"--pref", "--psi", "--tol"},
+    "decompose": {"--pref"},
+    "check-psi": {"--psi", "--grid", "--margin"},
+    "verdict": {"--pref", "--psi"},
+    "btl": {"--rewards"},
+    "kkt": {"--payoff", "--target", "--tol"},
+    "pm-probe": {"--target", "--family", "--c", "--c2", "--family-n", "--tol"},
+    "gen": {"--n", "--seed", "--strength-low", "--strength-high", "--force-no-winner", "--t", "--t1", "--t2"},
+    "monte-carlo": {
+        "--psi", "--trials", "--seed", "--n-min", "--n-max", "--force-no-winner", "--witness-dir", "--no-timing",
+    },
+}
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
+    for name, sub in subparsers.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert flags == SUBCOMMAND_FLAGS[name] | {"-h", "--help", "--format", "--out"}, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--pref", "pref.json", "--seed", "3"],
+        ["verdict", "--pref", "pref.json", "--psi", "identity", "--tol", "1e-3"],
+    ],
+)
+def test_ignored_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_via_argparse():

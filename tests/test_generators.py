@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import prefgame as pg
+from prefgame.generators import REJECTION_CAP
 
 # Piecewise nodes of t + 4 (t - 1/2)^2 at every argument the blend and the
 # six-player game ever evaluate.
@@ -21,7 +22,41 @@ class TestConfig:
             pg.GeneratorConfig(n=3, seed=1, strength_low=low, strength_high=high)
 
 
+def loop_tournament(cfg):
+    """The pair-by-pair draw loop that ``random_tournament`` vectorizes."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    n = cfg.n
+    for _ in range(REJECTION_CAP):
+        p = np.full((n, n), 0.5)
+        for i in range(n):
+            for j in range(i + 1, n):
+                strength = rng.uniform(cfg.strength_low, cfg.strength_high)
+                if rng.random() < 0.5:
+                    p[i, j] = strength
+                    p[j, i] = 1.0 - strength
+                else:
+                    p[j, i] = strength
+                    p[i, j] = 1.0 - strength
+        pref = pg.validate_preferences(p)
+        if not cfg.force_no_winner or pg.condorcet_winner(pref) is None:
+            return pref
+    raise pg.GenerationError("no winner-free tournament")
+
+
 class TestRandomTournament:
+    def test_bit_identical_to_the_draw_loop(self):
+        for seed in range(25):
+            for n in range(1, 10):
+                # Below three responses a winner-free draw cannot exist.
+                for force in (False, True) if n >= 3 else (False,):
+                    cfg = pg.GeneratorConfig(
+                        n=n,
+                        seed=seed * 7919 + n,
+                        strength_low=0.55 + 0.01 * (seed % 5),
+                        force_no_winner=force,
+                    )
+                    assert pg.random_tournament(cfg).p.tobytes() == loop_tournament(cfg).p.tobytes()
+
     def test_deterministic(self):
         a = pg.random_tournament(pg.GeneratorConfig(n=5, seed=123))
         b = pg.random_tournament(pg.GeneratorConfig(n=5, seed=123))

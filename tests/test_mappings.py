@@ -63,6 +63,9 @@ def test_log_odds_midpoint_is_zero():
         lambda: pg.piecewise_constant(float("nan"), 0.0, 1.0),
         lambda: pg.log_odds(-1e-3),
         lambda: pg.log_odds(0.7),
+        lambda: mapping_from_dict({"kind": "identity", "clamp_epsilon": 0.9}),
+        lambda: mapping_from_dict({"kind": "power", "k": "x"}),
+        lambda: mapping_from_dict({"kind": "piecewise_linear", "points": [[0.0, "x"], [1.0, 1.0]]}),
     ],
 )
 def test_factory_rejects_malformed(factory):

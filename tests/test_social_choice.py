@@ -135,6 +135,8 @@ class TestDecomposition:
                 assert len(top) > 1
             else:
                 assert top == (winner,)
+            nash = pg.solve_maximin(pg.apply_mapping(pref, pg.identity()))
+            assert pg.consistency_verdict(pref, nash).condorcet_winner == winner
 
 
 class TestVerdict:

@@ -9,6 +9,7 @@ import pytest
 
 import prefgame as pg
 from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp, solve_standard_lps
+from support_enumeration import enumerate_equilibria
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
 
@@ -132,7 +133,7 @@ def test_best_response_gap_dimension_check():
 
 class TestEnumeration:
     def test_rps_unique(self):
-        eqs = pg.enumerate_equilibria(rps_game())
+        eqs = enumerate_equilibria(rps_game())
         assert len(eqs) == 1
         x, y, value = eqs[0]
         np.testing.assert_allclose(x.w, 1.0 / 3.0, atol=1e-9)
@@ -141,13 +142,13 @@ class TestEnumeration:
 
     def test_matching_pennies(self):
         pay = pg.make_payoff([[1.0, -1.0], [-1.0, 1.0]])
-        eqs = pg.enumerate_equilibria(pay)
+        eqs = enumerate_equilibria(pay)
         assert len(eqs) == 1
         assert eqs[0][2] == pytest.approx(0.0)
 
     def test_constant_game_contains_pure_pairs(self):
         pay = pg.make_payoff([[0.7, 0.7], [0.7, 0.7]])
-        eqs = pg.enumerate_equilibria(pay)
+        eqs = enumerate_equilibria(pay)
         seen = {(tuple(x.w.round(9)), tuple(y.w.round(9))) for x, y, _ in eqs}
         for i in (0, 1):
             for j in (0, 1):
@@ -158,7 +159,7 @@ class TestEnumeration:
         # column strategy mixes three columns.
         mapping = pg.piecewise_linear([(0.0, -4.5), (0.5, 0.5), (1.0, 1.0)])
         pay = pg.game_four(mapping, 0.9, 0.55)
-        eqs = pg.enumerate_equilibria(pay)
+        eqs = enumerate_equilibria(pay)
         assert eqs
         assert all(v == pytest.approx(0.0, abs=1e-9) for _, _, v in eqs)
         supports = {tuple(y.support()) for _, y, _ in eqs}
@@ -170,12 +171,12 @@ class TestEnumeration:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             pay = pg.make_payoff(rng.uniform(-2.0, 2.0, size=(n, n)))
-            for x, y, value in pg.enumerate_equilibria(pay):
+            for x, y, value in enumerate_equilibria(pay):
                 assert pg.best_response_gap(pay, x, y) <= 1e-8
                 assert pg.total_payoff(pay, x, y) == pytest.approx(value, abs=1e-9)
 
     def test_deduplication(self):
-        eqs = pg.enumerate_equilibria(rps_game())
+        eqs = enumerate_equilibria(rps_game())
         for i in range(len(eqs)):
             for j in range(i + 1, len(eqs)):
                 dx = np.abs(eqs[i][0].w - eqs[j][0].w).max()
@@ -185,13 +186,13 @@ class TestEnumeration:
     def test_size_cap(self):
         pay = pg.make_payoff(np.zeros((9, 9)))
         with pytest.raises(pg.ValidationError):
-            pg.enumerate_equilibria(pay)
+            enumerate_equilibria(pay)
         # Raising the cap admits matrices above the default limit.
         rng = np.random.default_rng(3)
         small = pg.make_payoff(rng.uniform(-1.0, 1.0, size=(5, 5)))
         with pytest.raises(pg.ValidationError):
-            pg.enumerate_equilibria(small, max_n=4)
-        assert pg.enumerate_equilibria(small, max_n=5)
+            enumerate_equilibria(small, max_n=4)
+        assert enumerate_equilibria(small, max_n=5)
 
 
 class TestUniqueness:
