@@ -59,9 +59,16 @@ _BUILTIN_MAPPINGS = {
 }
 
 
+class _NotAnObject(ValidationError):
+    """A JSON input file whose top level is not an object: bad input, not a bad matrix."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise _NotAnObject(f"{path}: JSON top level must be an object, got {type(data).__name__}")
+    return data
 
 
 def _check_declared_n(path: str, data: dict, n: int) -> None:
@@ -153,6 +160,8 @@ def emit(data: dict, args) -> None:
 def _cmd_validate(args) -> int:
     try:
         pref = load_preferences(args.pref)
+    except _NotAnObject:
+        raise
     except ValidationError as exc:
         emit({"valid": False, "reason": str(exc)}, args)
         return EXIT_VIOLATION

@@ -380,6 +380,8 @@ def mapping_from_dict(data: dict) -> MappingSpec:
     clamp = LOG_ODDS_CLAMP if kind == "log_odds" else 0.0
     if "clamp_epsilon" in data:
         clamp = _number(data, "clamp_epsilon")
+    if kind in ("piecewise_constant", "symmetric_extension") and clamp != 0.0:
+        raise MappingError(f"mapping kind {kind!r} has no clamp, got clamp_epsilon={clamp}")
     try:
         if kind == "identity":
             _check_clamp(clamp)

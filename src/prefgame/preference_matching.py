@@ -24,6 +24,7 @@ from .core import (
     PreferenceMatrix,
     ValidationError,
     _as_readonly,
+    _float_array,
     make_payoff,
     make_policy,
     validate_preferences,
@@ -99,7 +100,7 @@ class ProbeReport:
 
 
 def make_btl(rewards) -> BTLModel:
-    r = np.asarray(rewards, dtype=float)
+    r = _float_array(rewards, "rewards")
     if r.ndim != 1 or r.size < 1:
         raise ValidationError(f"rewards must be a nonempty vector, got shape {r.shape}")
     if not np.all(np.isfinite(r)):

@@ -2,9 +2,11 @@
 
 The row player's problem max_pi min_j pi.A[:, j] becomes a linear program
 by introducing the guaranteed value as an epigraph variable; the column
-player's problem is the same program on the negated transpose.  Both are
-solved independently and the report carries the (tiny) gap between the two
-optimal values as a self-check.
+player's problem is the same program on the negated transpose.  When the
+game is skew-symmetric (A = -A^T, as under any symmetric mapping) that
+program is the row player's own, so it is solved once; otherwise both are
+solved and the report carries the (tiny) gap between the two optimal values
+as a self-check.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class NashReport:
 
     ``row_strategy`` attains ``value`` as a guaranteed minimum over columns;
     ``col_strategy`` caps the row player at ``value`` from above.
-    ``duality_gap`` is the difference between the two independent solves.
+    ``duality_gap`` is the difference between the two sides' optimal
+    values.  For a skew-symmetric game both sides come from one solve, so
+    the gap is twice the distance of ``value`` from its exact value 0.
     """
 
     row_strategy: Policy
@@ -121,13 +125,21 @@ def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
 def solve_maximin(payoff: PayoffMatrix, tolerance: float = DEFAULT_SOLVER_TOL) -> NashReport:
     """Solve the zero-sum game with payoff matrix ``payoff``.
 
+    The column player's LP runs on ``-a.T``.  When that array equals ``a``
+    the game is skew-symmetric and the row player's solve is reused, so one
+    LP runs instead of two and ``solver_iterations`` counts its pivots only.
     Raises ``SolverError`` if the two sides' optimal values disagree by more
     than ``tolerance``, which would indicate an engine bug rather than a
     property of the input.
     """
     a = payoff.a
+    neg_t = -a.T
     row_w, row_value, iters_row = _maximin_lp(a)
-    col_w, col_neg_value, iters_col = _maximin_lp(-a.T)
+    # array_equal counts the -0.0 on the diagonal of -a.T equal to a's 0.0; a
+    # signed zero only changes signs of zeros in the LP, which the clipped
+    # strategies and the "+ 0.0" value drop, so reuse is bit-identical.
+    skew = np.array_equal(neg_t, a)
+    col_w, col_neg_value, iters_col = (row_w, row_value, 0) if skew else _maximin_lp(neg_t)
     minimax_value = -col_neg_value
     gap = abs(row_value - minimax_value)
     if gap > tolerance:
@@ -135,8 +147,9 @@ def solve_maximin(payoff: PayoffMatrix, tolerance: float = DEFAULT_SOLVER_TOL) -
             f"duality gap {gap} exceeds tolerance {tolerance}; the LP engine is inconsistent"
         )
     logger.debug(
-        "maximin solved: n=%d value=%.12g gap=%.3g iterations=%d",
+        "maximin solved: n=%d lps=%d value=%.12g gap=%.3g iterations=%d",
         payoff.n,
+        1 if skew else 2,
         row_value,
         gap,
         iters_row + iters_col,

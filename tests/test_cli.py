@@ -346,6 +346,43 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--pref", "{bad}"],
+        ["solve", "--pref", "{bad}", "--psi", "identity"],
+        ["solve", "--pref", "{pref}", "--psi", "{bad}"],
+        ["kkt", "--payoff", "{bad}", "--target", "{target}"],
+        ["kkt", "--payoff", "{payoff}", "--target", "{bad}"],
+        ["pm-probe", "--target", "{bad}"],
+        ["btl", "--rewards", "{bad}"],
+    ],
+    ids=["validate", "solve-pref", "solve-psi", "kkt-payoff", "kkt-target", "pm-probe", "btl"],
+)
+@pytest.mark.parametrize("content", ["3", "[[0.5]]"])
+def test_json_input_that_is_not_an_object(files, capsys, argv, content):
+    tmp_path, write = files
+    paths = {
+        "pref": write("pref.json", {"n": 3, "p": RPS}),
+        "payoff": write("payoff.json", {"a": [[0.0, 1.0], [-1.0, 0.0]]}),
+        "target": write("target.json", {"w": [0.5, 0.5]}),
+        "bad": str(tmp_path / "bad.json"),
+    }
+    (tmp_path / "bad.json").write_text(content)
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    kind = type(json.loads(content)).__name__
+    assert capsys.readouterr().err == f"error: {paths['bad']}: JSON top level must be an object, got {kind}\n"
+
+
+@pytest.mark.parametrize("rewards", [["a", 1], "abc"])
+def test_btl_non_numeric_rewards_exit_two(files, capsys, rewards):
+    _, write = files
+    assert run(["btl", "--rewards", write("rewards.json", {"rewards": rewards})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rewards must be an array of numbers")
+    assert "Traceback" not in err
+
+
 # The flags each subcommand reads; a flag it would ignore must not parse.
 SUBCOMMAND_FLAGS = {
     "validate": {"--pref"},

@@ -66,11 +66,30 @@ def test_log_odds_midpoint_is_zero():
         lambda: mapping_from_dict({"kind": "identity", "clamp_epsilon": 0.9}),
         lambda: mapping_from_dict({"kind": "power", "k": "x"}),
         lambda: mapping_from_dict({"kind": "piecewise_linear", "points": [[0.0, "x"], [1.0, 1.0]]}),
+        lambda: mapping_from_dict(
+            {"kind": "piecewise_constant", "m_minus": -1, "mid": 0, "m_plus": 1, "clamp_epsilon": 0.9}
+        ),
+        lambda: mapping_from_dict(
+            {"kind": "symmetric_extension", "base": {"kind": "identity"}, "clamp_epsilon": 1e-6}
+        ),
     ],
 )
 def test_factory_rejects_malformed(factory):
     with pytest.raises(pg.MappingError):
         factory()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "piecewise_constant", "m_minus": -1, "mid": 0, "m_plus": 1},
+        {"kind": "symmetric_extension", "base": {"kind": "identity"}},
+    ],
+)
+def test_clamp_epsilon_only_where_there_is_a_clamp(data):
+    assert mapping_from_dict({**data, "clamp_epsilon": 0}) == mapping_from_dict(data)
+    with pytest.raises(pg.MappingError, match=f"kind '{data['kind']}' has no clamp"):
+        mapping_from_dict({**data, "clamp_epsilon": 0.1})
 
 
 def test_shape_judgment_is_not_the_factory_job():

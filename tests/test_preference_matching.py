@@ -16,6 +16,12 @@ def test_make_btl_rejects_nonfinite():
         pg.make_btl([])
 
 
+@pytest.mark.parametrize("rewards", [["a", 1], "abc", [[1.0], [2.0, 3.0]]])
+def test_make_btl_rejects_non_numeric(rewards):
+    with pytest.raises(pg.ValidationError, match="rewards"):
+        pg.make_btl(rewards)
+
+
 def test_btl_preferences_pinned_values():
     pref = pg.btl_preferences(pg.make_btl([1.0, 0.0]))
     assert pref.p[0, 1] == pytest.approx(0.7310585786300049, abs=1e-15)

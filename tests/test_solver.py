@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import prefgame as pg
+from prefgame import solver
 from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp, solve_standard_lps
 from support_enumeration import enumerate_equilibria
 
@@ -335,3 +336,89 @@ class TestSharedPhaseOne:
         assert len(lines) == 1
         assert lines[0].startswith("uniqueness probed: n=3 lps=6 phase1_iterations=")
 
+
+
+def two_lp_reference(payoff):
+    """What ``solve_maximin`` reports when both players' LPs are run."""
+    a = payoff.a
+    row_w, value, _ = solver._maximin_lp(a)
+    col_w, col_neg_value, _ = solver._maximin_lp(-a.T)
+    gap = abs(value - -col_neg_value)
+    return solver._clean_policy(row_w).w, solver._clean_policy(col_w).w, value, gap
+
+
+def mapped_tournament(mapping, n, seed):
+    pref = pg.random_tournament(pg.GeneratorConfig(n=n, seed=seed))
+    return pg.apply_mapping(pref, mapping)
+
+
+SKEW_MAPPINGS = {
+    "log_odds": pg.log_odds,
+    "piecewise_constant": lambda: pg.piecewise_constant(-1.0, 0.0, 1.0),
+}
+
+
+@pytest.fixture
+def maximin_lp_calls(monkeypatch):
+    """Record the pivot count of every ``_maximin_lp`` call."""
+    calls = []
+    original = solver._maximin_lp
+
+    def counting(a):
+        result = original(a)
+        calls.append(result[2])
+        return result
+
+    monkeypatch.setattr(solver, "_maximin_lp", counting)
+    return calls
+
+
+class TestSkewSymmetricGames:
+    @pytest.mark.parametrize("n", [*range(3, 11), 13, 16, 20, 25, 30, 35, 40, 45, 50])
+    @pytest.mark.parametrize("kind", sorted(SKEW_MAPPINGS))
+    def test_one_lp_matches_two_bit_for_bit(self, kind, n):
+        pay = mapped_tournament(SKEW_MAPPINGS[kind](), n, seed=1)
+        assert np.array_equal(-pay.a.T, pay.a)
+        nash = pg.solve_maximin(pay)
+        row_w, col_w, value, gap = two_lp_reference(pay)
+        assert nash.row_strategy.w.tobytes() == row_w.tobytes()
+        assert nash.col_strategy.w.tobytes() == col_w.tobytes()
+        assert np.float64(nash.value).tobytes() == np.float64(value).tobytes()
+        assert np.float64(nash.duality_gap).tobytes() == np.float64(gap).tobytes()
+
+    def test_failing_game_fails_with_the_same_message(self):
+        pay = mapped_tournament(SKEW_MAPPINGS["piecewise_constant"](), 45, seed=2)
+        gap = two_lp_reference(pay)[3]
+        message = f"duality gap {gap} exceeds tolerance 1e-09; the LP engine is inconsistent"
+        with pytest.raises(pg.SolverError) as info:
+            pg.solve_maximin(pay)
+        assert str(info.value) == message
+
+    def test_skew_game_runs_one_lp(self, maximin_lp_calls):
+        pg.solve_maximin(mapped_tournament(pg.log_odds(), 8, seed=3))
+        assert len(maximin_lp_calls) == 1
+
+    def test_identity_game_runs_two_lps(self, maximin_lp_calls):
+        pay = mapped_tournament(pg.identity(), 8, seed=3)
+        assert not np.array_equal(-pay.a.T, pay.a)
+        pg.solve_maximin(pay)
+        assert len(maximin_lp_calls) == 2
+
+    def test_nearly_skew_game_runs_two_lps(self, maximin_lp_calls):
+        a = mapped_tournament(pg.log_odds(), 8, seed=3).a.copy()
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        pg.solve_maximin(pg.make_payoff(a))
+        assert len(maximin_lp_calls) == 2
+
+    @pytest.mark.parametrize("mapping", [pg.log_odds, pg.identity])
+    def test_iterations_count_the_lps_run(self, maximin_lp_calls, mapping):
+        nash = pg.solve_maximin(mapped_tournament(mapping(), 12, seed=4))
+        assert nash.solver_iterations == sum(maximin_lp_calls) > 0
+
+    @pytest.mark.parametrize("mapping, lps", [(pg.log_odds, 1), (pg.identity, 2)])
+    def test_debug_line_reports_the_lps(self, caplog, mapping, lps):
+        with caplog.at_level(logging.DEBUG, logger="prefgame.solver"):
+            pg.solve_maximin(mapped_tournament(mapping(), 5, seed=0))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("maximin solved")]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"maximin solved: n=5 lps={lps} value=")
