@@ -232,6 +232,9 @@ def _cmd_kkt(args) -> int:
 
 def _ratio_spec_from_args(args, target_n: int) -> RatioPayoffSpec:
     if args.family == "btl":
+        for flag, value in (("--family-n", args.family_n), ("--c2", args.c2)):
+            if value is not None:
+                raise ValidationError(f"{flag} applies only to --family degenerate")
         c = args.c if args.c is not None else 0.5
 
         def f(x):
@@ -239,8 +242,8 @@ def _ratio_spec_from_args(args, target_n: int) -> RatioPayoffSpec:
 
         return RatioPayoffSpec(f=f, diagonal_c=c)
     n = args.family_n if args.family_n is not None else target_n
-    c = args.c if args.c is not None else 0.0
-    return degenerate_family(n, c=c, c2=args.c2)
+    given = {"c": args.c, "c2": args.c2}
+    return degenerate_family(n, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_pm_probe(args) -> int:
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--family", choices=("btl", "degenerate"), default="btl")
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--c2", type=float, default=1.0)
+    p.add_argument("--c2", type=float, default=None)
     p.add_argument("--family-n", dest="family_n", type=int, default=None)
     p.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p.set_defaults(handler=_cmd_pm_probe)

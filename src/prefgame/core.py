@@ -60,8 +60,10 @@ class PreferenceMatrix:
 
     ``p[i, j]`` is the probability that response ``i`` is preferred to
     response ``j``.  Entries satisfy ``p[i, j] + p[j, i] = 1`` and the
-    diagonal is 1/2.  ``no_tie`` records whether every off-diagonal entry
-    is bounded away from 1/2, which downstream decomposition requires.
+    diagonal is 1/2.  ``no_tie`` records whether the majority relation is
+    a tournament: every off-diagonal entry is bounded away from 1/2 and, of
+    each pair ``p[i, j]``, ``p[j, i]``, exactly one lies above 1/2.  The
+    ordered decomposition requires it.
     """
 
     n: int
@@ -142,7 +144,10 @@ def validate_preferences(
         Square array-like with entries in [0, 1].
     tie_tolerance:
         Off-diagonal entries within this distance of 1/2 count as ties;
-        they do not abort validation but clear the ``no_tie`` flag.
+        they do not abort validation but clear the ``no_tie`` flag.  A pair
+        whose entries lie both above or both at most 1/2, which loose
+        tolerances let through, clears it too, so ``no_tie`` holds exactly
+        when the majority relation is a tournament.
     validation_tolerance:
         Absolute slack allowed on the complement identity
         ``p[i, j] + p[j, i] = 1`` and on the diagonal value 1/2.
@@ -179,7 +184,8 @@ def validate_preferences(
         i = int(np.argmax(diag))
         raise ValidationError(f"diagonal entry p[{i}][{i}] = {p[i, i]} must be 1/2")
     off = ~np.eye(n, dtype=bool)
-    no_tie = bool(np.all(np.abs(p[off] - 0.5) >= tie_tolerance)) if n > 1 else True
+    beats = p > 0.5
+    no_tie = bool(np.all(np.abs(p[off] - 0.5) >= tie_tolerance) and np.all((beats != beats.T)[off]))
     return PreferenceMatrix(n=n, p=_as_readonly(p), no_tie=no_tie)
 
 

@@ -97,12 +97,8 @@ def game_two(mapping: MappingSpec, t: float) -> PayoffMatrix:
     return make_payoff([[mid, hi], [lo, mid]])
 
 
-def game_four(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
-    """A three-cycle at strength ``t1`` on top of one dominated response.
-
-    Rows 0-2 beat each other cyclically; each beats row 3 with probability
-    ``t2``.
-    """
+def _levels(mapping: MappingSpec, t1: float, t2: float) -> tuple[float, float, float, float, float]:
+    """Payoffs at 1/2, t1, 1-t1, t2 and 1-t2, shared by the two-strength games."""
     _check_open_half("t1", t1)
     _check_open_half("t2", t2)
     mid = eval_mapping(mapping, 0.5)
@@ -110,6 +106,16 @@ def game_four(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
     b1 = eval_mapping(mapping, 1.0 - t1)
     a2 = eval_mapping(mapping, t2)
     b2 = eval_mapping(mapping, 1.0 - t2)
+    return mid, a1, b1, a2, b2
+
+
+def game_four(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
+    """A three-cycle at strength ``t1`` on top of one dominated response.
+
+    Rows 0-2 beat each other cyclically; each beats row 3 with probability
+    ``t2``.
+    """
+    mid, a1, b1, a2, b2 = _levels(mapping, t1, t2)
     return make_payoff(
         [
             [mid, a1, b1, a2],
@@ -122,13 +128,7 @@ def game_four(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
 
 def game_six(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
     """Two stacked three-cycles, the upper one beating the lower at ``t2``."""
-    _check_open_half("t1", t1)
-    _check_open_half("t2", t2)
-    mid = eval_mapping(mapping, 0.5)
-    a1 = eval_mapping(mapping, t1)
-    b1 = eval_mapping(mapping, 1.0 - t1)
-    a2 = eval_mapping(mapping, t2)
-    b2 = eval_mapping(mapping, 1.0 - t2)
+    mid, a1, b1, a2, b2 = _levels(mapping, t1, t2)
     cycle = np.array([[mid, a1, b1], [b1, mid, a1], [a1, b1, mid]])
     top = np.hstack([cycle, np.full((3, 3), a2)])
     bottom = np.hstack([np.full((3, 3), b2), cycle])
@@ -146,13 +146,7 @@ def mixture_weights(mapping: MappingSpec, t1: float, t2: float) -> tuple[Policy,
     cross values straddling the midpoint value, but only positivity is
     required.
     """
-    _check_open_half("t1", t1)
-    _check_open_half("t2", t2)
-    mid = eval_mapping(mapping, 0.5)
-    a1 = eval_mapping(mapping, t1)
-    b1 = eval_mapping(mapping, 1.0 - t1)
-    a2 = eval_mapping(mapping, t2)
-    b2 = eval_mapping(mapping, 1.0 - t2)
+    mid, a1, b1, a2, b2 = _levels(mapping, t1, t2)
     cycle_sum = mid + a1 + b1
     d_top = cycle_sum - 3.0 * a2
     d_bottom = cycle_sum - 3.0 * b2

@@ -1,11 +1,14 @@
 """Tournament structure of a preference matrix.
 
-The majority digraph has an edge i -> j when response i beats response j
-(preference above 1/2).  With no ties that digraph is a tournament, and
-its strongly connected components admit a total order: the first group is
+The majority relation has i beating j when response i is preferred to
+response j with probability above 1/2.  With no ties it is a tournament,
+and its strongly connected groups admit a total order: the first group is
 the smallest set whose members beat everything outside it, the next group
-beats everything after it, and so on.  ``consistency_verdict`` relates a
-solved game to that structure.
+beats everything after it, and so on.  All of that structure is read off
+the score sequence (wins per response) through Landau's score theorem
+(H. G. Landau, "On dominance relations and the structure of animal
+societies III", Bull. Math. Biophys. 15, 1953), without building the
+digraph.  ``consistency_verdict`` relates a solved game to that structure.
 """
 
 from __future__ import annotations
@@ -14,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_SUPPORT_THRESHOLD,
-    PreferenceMatrix,
-    PrefGameError,
-    TieError,
-)
+from .core import DEFAULT_SUPPORT_THRESHOLD, PreferenceMatrix, TieError
 from .solver import NashReport
 
 DEFAULT_MASS_TOL = 1e-6
@@ -77,101 +75,47 @@ class ConsistencyVerdict:
         }
 
 
+def _scores(pref: PreferenceMatrix) -> np.ndarray:
+    """Number of other responses each response beats."""
+    beats = pref.p > 0.5
+    np.fill_diagonal(beats, False)
+    return beats.sum(axis=1)
+
+
 def condorcet_winner(pref: PreferenceMatrix) -> int | None:
     """Index of the response beating every other one, if it exists."""
-    if pref.n == 1:
-        return 0
-    beats = pref.p > 0.5
-    for i in range(pref.n):
-        row = np.delete(beats[i], i)
-        if np.all(row):
-            return i
-    return None
-
-
-def _strongly_connected(successors: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm with an explicit stack.
-
-    Components come out in reverse topological order of the condensation.
-    """
-    n = len(successors)
-    unvisited = -1
-    index = [unvisited] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != unvisited:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        frames: list[tuple[int, object]] = [(root, iter(successors[root]))]
-        while frames:
-            v, edges = frames[-1]
-            advanced = False
-            for w in edges:  # type: ignore[union-attr]
-                if index[w] == unvisited:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    frames.append((w, iter(successors[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
+    winners = np.flatnonzero(_scores(pref) == pref.n - 1)
+    return int(winners[0]) if winners.size else None
 
 
 def smith_decomposition(pref: PreferenceMatrix) -> Decomposition:
     """Ordered dominance decomposition of the majority tournament.
 
-    Refuses preference matrices with ties: without strict pairwise
-    preferences the ordered partition is not guaranteed to exist or be
-    unique, and inventing a tie-break would fabricate structure.
+    By Landau's score theorem, the k highest-scoring responses beat every
+    other response exactly when their scores sum to k(k-1)/2 + k(n-k): the
+    games among themselves plus a win over each outsider.  Every dominating
+    set is such a prefix of the responses sorted by score, so the cuts of
+    that sorted order are the group boundaries.
+
+    Refuses preference matrices whose majority relation is not a
+    tournament (``no_tie`` false): without strict pairwise preferences the
+    ordered partition is not guaranteed to exist or be unique, and
+    inventing a tie-break would fabricate structure.
     """
     if not pref.no_tie:
         raise TieError(
             "preference matrix has pairwise ties; the ordered decomposition "
             "requires strict preferences everywhere"
         )
-    beats = pref.p > 0.5
-    successors = [np.flatnonzero(beats[i]).tolist() for i in range(pref.n)]
-    components = _strongly_connected(successors)
-    ordered = [sorted(c) for c in reversed(components)]
-    # The condensation of a tournament must be a total order; verify rather
-    # than trust the traversal.
-    for gi in range(len(ordered)):
-        for gj in range(gi + 1, len(ordered)):
-            for x in ordered[gi]:
-                for y in ordered[gj]:
-                    if not beats[x, y]:
-                        raise PrefGameError(
-                            f"dominance order verification failed between groups "
-                            f"{ordered[gi]} and {ordered[gj]}"
-                        )
-    kinds = tuple(SINGLETON if len(g) == 1 else CYCLE for g in ordered)
-    return Decomposition(groups=tuple(tuple(g) for g in ordered), kinds=kinds)
+    n = pref.n
+    score = _scores(pref)
+    order = np.argsort(-score, kind="stable")
+    k = np.arange(1, n + 1)
+    cuts = np.flatnonzero(np.cumsum(score[order]) == k * (k - 1) // 2 + k * (n - k)) + 1
+    # The whole order (k = n) always meets the bound, so the last cut is the end.
+    groups = tuple(tuple(sorted(g.tolist())) for g in np.split(order, cuts[:-1]))
+    kinds = tuple(SINGLETON if len(g) == 1 else CYCLE for g in groups)
+    return Decomposition(groups=groups, kinds=kinds)
 
 
 def consistency_verdict(

@@ -220,6 +220,16 @@ def test_pm_probe_degenerate_family(files, capsys):
     assert out_json(capsys)["kkt_feasible"] is True
 
 
+@pytest.mark.parametrize("flag", ["--family-n", "--c2"])
+def test_pm_probe_btl_rejects_degenerate_only_flags(files, capsys, flag):
+    _, write = files
+    target = write("target.json", {"w": [0.6, 0.3, 0.1]})
+    assert run(["pm-probe", "--target", target, flag, "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} applies only to --family degenerate\n"
+
+
 def test_gen_random_is_deterministic(capsys):
     assert run(["gen", "random", "--n", "4", "--seed", "9", "--format", "json"]) == 0
     first = capsys.readouterr().out

@@ -38,6 +38,39 @@ def brute_minimal_dominant_set(p: np.ndarray) -> tuple[int, ...]:
     raise AssertionError("tournament without a dominant set")
 
 
+def reference_decomposition(p: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """Strongly connected groups and kinds from the reachability closure, top group first."""
+    n = p.shape[0]
+    reach = (p > 0.5) | np.eye(n, dtype=bool)
+    while True:
+        closed = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    groups = {tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(n)}
+    # A group that reaches another one reaches strictly more responses.
+    ordered = tuple(sorted(groups, key=lambda g: -int(reach[g[0]].sum())))
+    return ordered, tuple("singleton" if len(g) == 1 else "cycle" for g in ordered)
+
+
+def planted_tournament(rng: np.random.Generator, sizes: list[int]) -> pg.PreferenceMatrix:
+    """Blocks of the given sizes, each beating every later block, random inside, labels shuffled."""
+    n = sum(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    strength = rng.uniform(0.55, 0.95, (n, n))
+    row_wins = np.where(block[:, None] == block, rng.random((n, n)) < 0.5, block[:, None] < block)
+    upper = np.triu(np.where(row_wins, strength, 1.0 - strength), 1)
+    p = upper + np.tril(1.0 - upper.T, -1) + 0.5 * np.eye(n)
+    perm = rng.permutation(n)
+    return pg.validate_preferences(p[np.ix_(perm, perm)])
+
+
+def random_sizes(rng: np.random.Generator, n: int) -> list[int]:
+    """A random composition of n into block sizes."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    return np.diff(np.concatenate([[0], cuts, [n]])).tolist()
+
+
 def test_winner_transitive():
     assert pg.condorcet_winner(pg.validate_preferences(TRANSITIVE)) == 0
 
@@ -58,6 +91,17 @@ def test_winner_with_ties_still_defined():
         [0.3, 0.5, 0.5],
     ]
     assert pg.condorcet_winner(pg.validate_preferences(p)) == 0
+
+
+@pytest.mark.parametrize("base", [RPS, TRANSITIVE], ids=["cycle", "transitive"])
+def test_diagonal_noise_is_ignored(base):
+    # validate_preferences accepts a diagonal within its tolerance of 1/2; a
+    # response never beats itself.
+    noisy = np.array(base)
+    noisy[0, 0] = 0.5 + 1e-10
+    exact, noisy = pg.validate_preferences(base), pg.validate_preferences(noisy)
+    assert pg.smith_decomposition(noisy) == pg.smith_decomposition(exact)
+    assert pg.condorcet_winner(noisy) == pg.condorcet_winner(exact)
 
 
 class TestDecomposition:
@@ -108,21 +152,47 @@ class TestDecomposition:
             expected = brute_minimal_dominant_set(pref.p)
             assert pg.smith_decomposition(pref).top_group() == expected
 
+    def test_matches_reachability_reference(self):
+        rng = np.random.default_rng(2024)
+        group_counts = []
+        for _ in range(300):
+            pref = planted_tournament(rng, random_sizes(rng, int(rng.integers(1, 61))))
+            d = pg.smith_decomposition(pref)
+            assert (d.groups, d.kinds) == reference_decomposition(pref.p)
+            group_counts.append(len(d.groups))
+        for k in range(100):
+            n = int(rng.integers(1, 13))
+            pref = pg.random_tournament(pg.GeneratorConfig(n=n, seed=3100 + k))
+            d = pg.smith_decomposition(pref)
+            assert (d.groups, d.kinds) == reference_decomposition(pref.p)
+        assert max(group_counts) >= 30
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
-        pref = pg.random_tournament(pg.GeneratorConfig(n=7, seed=42))
-        base = pg.smith_decomposition(pref)
-        for _ in range(5):
-            perm = rng.permutation(7)
-            shuffled = pg.validate_preferences(pref.p[np.ix_(perm, perm)])
-            d = pg.smith_decomposition(shuffled)
-            relabeled = tuple(tuple(sorted(int(perm[i]) for i in g)) for g in d.groups)
-            assert relabeled == base.groups
+        random_7 = pg.random_tournament(pg.GeneratorConfig(n=7, seed=42))
+        planted_50 = planted_tournament(np.random.default_rng(50), [3, 1, 5, 1, 1, 4, 7, 1, 3, 6, 1, 1, 8, 3, 5])
+        for pref in (random_7, planted_50):
+            base = pg.smith_decomposition(pref)
+            for _ in range(5):
+                perm = rng.permutation(pref.n)
+                shuffled = pg.validate_preferences(pref.p[np.ix_(perm, perm)])
+                d = pg.smith_decomposition(shuffled)
+                relabeled = tuple(tuple(sorted(int(perm[i]) for i in g)) for g in d.groups)
+                assert relabeled == base.groups
 
     def test_ties_are_refused(self):
         tied = pg.validate_preferences([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(pg.TieError):
             pg.smith_decomposition(tied)
+
+    def test_pair_both_above_half_is_a_tie(self):
+        # Loose tolerances accept p[0, 1] and p[1, 0] both above 1/2: each
+        # response beats the other, so the majority relation is no tournament.
+        p = [[0.5, 0.5 + 1e-10, 0.9], [0.5 + 1e-10, 0.5, 0.1], [0.1, 0.9, 0.5]]
+        pref = pg.validate_preferences(p, tie_tolerance=1e-12, validation_tolerance=1e-6)
+        assert pref.no_tie is False
+        with pytest.raises(pg.TieError):
+            pg.smith_decomposition(pref)
 
     def test_winner_iff_singleton_top(self):
         rng = np.random.default_rng(404)
