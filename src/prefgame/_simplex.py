@@ -22,7 +22,7 @@ from .core import SolverError
 
 PIVOT_TOL = 1e-10
 RATIO_TIE_TOL = 1e-12
-DEFAULT_FEAS_TOL = 1e-9
+FEAS_TOL = 1e-9
 MAX_ITER = 100_000
 
 OPTIMAL = "optimal"
@@ -74,13 +74,13 @@ def _iterate(
             raise SolverError("simplex iteration cap exceeded; anti-cycling pivoting should prevent this")
 
 
-def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float):
+def _phase_one(a: np.ndarray, b: np.ndarray):
     """Find a basic feasible point of A x = b, x >= 0.
 
     Minimizes the mass of artificial variables, then drives leftover
     artificials out of the basis.  Returns ``(tableau, basis, iterations)``
     with the artificial columns removed; ``tableau`` and ``basis`` are
-    ``None`` when the artificial mass stays above ``feas_tol``.  ``a`` and
+    ``None`` when the artificial mass stays above ``FEAS_TOL``.  ``a`` and
     ``b`` are modified in place.
     """
     m, n = a.shape
@@ -99,7 +99,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float):
     if status != OPTIMAL:
         raise SolverError("phase-1 subproblem cannot be unbounded")
     artificial_mass = -red[-1]
-    if artificial_mass > feas_tol:
+    if artificial_mass > FEAS_TOL:
         return None, None, iterations
 
     # Drive leftover artificials out of the basis; a row with no usable real
@@ -142,19 +142,14 @@ def _phase_two(c: np.ndarray, tableau: np.ndarray, basis: np.ndarray, iterations
     return LPResult(OPTIMAL, x, float(c @ x), total, phase_one_iterations=iterations)
 
 
-def solve_standard_lps(
-    cs,
-    a_eq,
-    b_eq,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-) -> list[LPResult]:
+def solve_standard_lps(cs, a_eq, b_eq) -> list[LPResult]:
     """Solve min c.x with A x = b, x >= 0 for every objective c in ``cs``.
 
     Phase 1 depends only on A and b, so it runs once; each objective's
     phase 2 starts from its own copy of the feasible tableau.  Every result
     is bit-identical to solving that objective alone.  Each ``LPResult``
     has status ``optimal``, ``infeasible`` (phase-1 artificial mass above
-    ``feas_tol``, then every result is infeasible) or ``unbounded``; on
+    ``FEAS_TOL``, then every result is infeasible) or ``unbounded``; on
     non-optimal statuses ``x`` and ``objective`` are not meaningful.
     ``iterations`` counts the shared phase-1 pivots, given alone in
     ``phase_one_iterations``, plus that objective's phase-2 pivots.
@@ -169,7 +164,7 @@ def solve_standard_lps(
         shapes = ", ".join(str(c.shape) for c in cs)
         raise SolverError(f"LP shape mismatch: A is {a.shape}, b is {b.shape}, c is {shapes}")
 
-    tableau, basis, iterations = _phase_one(a, b, feas_tol)
+    tableau, basis, iterations = _phase_one(a, b)
     if tableau is None:
         return [
             LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations, phase_one_iterations=iterations)
@@ -178,11 +173,6 @@ def solve_standard_lps(
     return [_phase_two(c, tableau.copy(), basis.copy(), iterations) for c in cs]
 
 
-def solve_standard_lp(
-    c,
-    a_eq,
-    b_eq,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-) -> LPResult:
+def solve_standard_lp(c, a_eq, b_eq) -> LPResult:
     """Solve min c.x with A x = b, x >= 0; see ``solve_standard_lps``."""
-    return solve_standard_lps([c], a_eq, b_eq, feas_tol)[0]
+    return solve_standard_lps([c], a_eq, b_eq)[0]

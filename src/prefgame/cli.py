@@ -29,14 +29,9 @@ from .core import (
 )
 from .experiment import monte_carlo
 from .generators import GeneratorConfig, game_four, game_six, game_two, random_tournament
-from .mappings import (
-    MappingSpec,
-    check_conditions,
-    identity,
-    log_odds,
-    mapping_from_dict,
-)
+from .mappings import MappingSpec, check_conditions, identity, mapping_from_dict
 from .preference_matching import (
+    btl_family,
     btl_preferences,
     degenerate_family,
     kkt_verify,
@@ -52,11 +47,6 @@ from . import __version__
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
-
-_BUILTIN_MAPPINGS = {
-    "identity": identity,
-    "log_odds": log_odds,
-}
 
 
 class _NotAnObject(ValidationError):
@@ -115,10 +105,10 @@ def load_policy(path: str) -> Policy:
 
 
 def load_mapping(arg: str) -> MappingSpec:
-    """Resolve a mapping argument: builtin name or JSON file path."""
-    if arg in _BUILTIN_MAPPINGS and not os.path.exists(arg):
-        return _BUILTIN_MAPPINGS[arg]()
-    return mapping_from_dict(_load_json(arg))
+    """Resolve a mapping argument: a JSON file path if that file exists, else a mapping kind."""
+    if os.path.exists(arg):
+        return mapping_from_dict(_load_json(arg))
+    return mapping_from_dict({"kind": arg})
 
 
 def _format_value(value) -> str:
@@ -235,12 +225,7 @@ def _ratio_spec_from_args(args, target_n: int) -> RatioPayoffSpec:
         for flag, value in (("--family-n", args.family_n), ("--c2", args.c2)):
             if value is not None:
                 raise ValidationError(f"{flag} applies only to --family degenerate")
-        c = args.c if args.c is not None else 0.5
-
-        def f(x):
-            return x / (1.0 + x)
-
-        return RatioPayoffSpec(f=f, diagonal_c=c)
+        return btl_family() if args.c is None else btl_family(args.c)
     n = args.family_n if args.family_n is not None else target_n
     given = {"c": args.c, "c2": args.c2}
     return degenerate_family(n, **{k: v for k, v in given.items() if v is not None})

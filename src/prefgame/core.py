@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_TIE_TOL = 1e-9
-DEFAULT_SUPPORT_THRESHOLD = 1e-7
+SUPPORT_THRESHOLD = 1e-7
 
 
 class PrefGameError(Exception):
@@ -92,9 +92,9 @@ class Policy:
     n: int
     w: np.ndarray
 
-    def support(self, threshold: float = DEFAULT_SUPPORT_THRESHOLD) -> list[int]:
-        """Indices carrying more than ``threshold`` mass."""
-        return [int(i) for i in np.flatnonzero(self.w > threshold)]
+    def support(self) -> list[int]:
+        """Indices carrying more than ``SUPPORT_THRESHOLD`` mass."""
+        return [int(i) for i in np.flatnonzero(self.w > SUPPORT_THRESHOLD)]
 
     def to_dict(self) -> dict:
         return {"n": self.n, "w": self.w.tolist()}
@@ -198,22 +198,22 @@ def make_payoff(raw) -> PayoffMatrix:
     return PayoffMatrix(n=n, a=_as_readonly(a))
 
 
-def make_policy(raw, tolerance: float = DEFAULT_VALIDATION_TOL) -> Policy:
+def make_policy(raw) -> Policy:
     """Wrap a nonnegative vector summing to one as a policy.
 
-    Small negative entries (at most ``tolerance`` in magnitude) are snapped
-    to zero; the total mass must already be 1 within ``tolerance``.
+    Small negative entries (at most ``DEFAULT_VALIDATION_TOL`` in magnitude)
+    are snapped to zero; the total mass must already be 1 within it.
     """
     w = _float_array(raw, "policy")
     if w.ndim != 1 or w.size < 1:
         raise ValidationError(f"policy must be a nonempty vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("policy entries must be finite")
-    if np.any(w < -tolerance):
+    if np.any(w < -DEFAULT_VALIDATION_TOL):
         i = int(np.argmin(w))
         raise ValidationError(f"policy entry w[{i}] = {w[i]} is negative")
     total = float(w.sum())
-    if abs(total - 1.0) > tolerance:
+    if abs(total - 1.0) > DEFAULT_VALIDATION_TOL:
         raise ValidationError(f"policy mass {total} is not 1")
     w = np.clip(w, 0.0, None)
     if not np.any(w > 0.0):

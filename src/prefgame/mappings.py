@@ -27,16 +27,8 @@ from .core import MappingError
 DEFAULT_GRID_RESOLUTION = 10_001
 DEFAULT_MARGIN = 1e-12
 LOG_ODDS_CLAMP = 1e-9
-
-_KINDS = (
-    "identity",
-    "log_odds",
-    "affine",
-    "power",
-    "piecewise_linear",
-    "piecewise_constant",
-    "symmetric_extension",
-)
+# Grid points on [0, 1/2] at which ``symmetric_extension`` checks its base.
+EXTENSION_CHECK_RESOLUTION = 2001
 
 
 @dataclass(frozen=True)
@@ -59,9 +51,6 @@ class MappingSpec:
     m_plus: float = 0.0
     points: tuple[tuple[float, float], ...] = field(default=())
     base: "MappingSpec | None" = None
-
-    def describe(self) -> dict:
-        return mapping_to_dict(self)
 
 
 @dataclass(frozen=True)
@@ -97,9 +86,10 @@ class ConditionReport:
         }
 
 
-def identity() -> MappingSpec:
+def identity(clamp_epsilon: float = 0.0) -> MappingSpec:
     """The mapping f(t) = t."""
-    return MappingSpec(kind="identity")
+    _check_clamp(clamp_epsilon)
+    return MappingSpec(kind="identity", clamp_epsilon=clamp_epsilon)
 
 
 def log_odds(clamp_epsilon: float = LOG_ODDS_CLAMP) -> MappingSpec:
@@ -171,17 +161,16 @@ def piecewise_constant(m_minus: float, mid: float, m_plus: float) -> MappingSpec
     )
 
 
-def symmetric_extension(base: MappingSpec, check_resolution: int = 2001) -> MappingSpec:
+def symmetric_extension(base: MappingSpec) -> MappingSpec:
     """Extend a mapping given on [0, 1/2] to all of [0, 1] by point symmetry.
 
     The result equals ``base`` on [0, 1/2] and ``2*base(1/2) - base(1-t)``
     above, so ``f(t) + f(1-t) = 2*f(1/2)`` holds by construction.  The base
     must sit strictly below its midpoint value on [0, 1/2); this is checked
-    on a grid of ``check_resolution`` points and violations are rejected.
+    on a grid of ``EXTENSION_CHECK_RESOLUTION`` points and violations are
+    rejected.
     """
-    if check_resolution < 3:
-        raise MappingError("check_resolution must be at least 3")
-    ts = np.linspace(0.0, 0.5, check_resolution)
+    ts = np.linspace(0.0, 0.5, EXTENSION_CHECK_RESOLUTION)
     vals = eval_mapping_array(base, ts)
     if not np.all(np.isfinite(vals)):
         raise MappingError("base mapping is not finite on [0, 1/2]")
@@ -343,25 +332,32 @@ def check_conditions(
     )
 
 
+# Each kind's factory and the JSON fields after "kind", in serialization
+# order.  The field names are the factory's keyword arguments; a kind
+# without ``clamp_epsilon`` has no clamp.
+_KINDS = {
+    "identity": (identity, ("clamp_epsilon",)),
+    "log_odds": (log_odds, ("clamp_epsilon",)),
+    "affine": (affine, ("a", "b", "clamp_epsilon")),
+    "power": (power, ("k", "clamp_epsilon")),
+    "piecewise_linear": (piecewise_linear, ("points", "clamp_epsilon")),
+    "piecewise_constant": (piecewise_constant, ("m_minus", "mid", "m_plus")),
+    "symmetric_extension": (symmetric_extension, ("base",)),
+}
+
+
 def mapping_to_dict(spec: MappingSpec) -> dict:
-    """Serialize a spec to the documented JSON shape."""
+    """Serialize a spec to the documented JSON shape; a zero clamp is left out."""
     out: dict = {"kind": spec.kind}
-    if spec.kind == "affine":
-        out["a"] = spec.a
-        out["b"] = spec.b
-    elif spec.kind == "power":
-        out["k"] = spec.k
-    elif spec.kind == "piecewise_linear":
-        out["points"] = [[t, v] for t, v in spec.points]
-    elif spec.kind == "piecewise_constant":
-        out["m_minus"] = spec.m_minus
-        out["mid"] = spec.mid
-        out["m_plus"] = spec.m_plus
-    elif spec.kind == "symmetric_extension":
-        assert spec.base is not None
-        out["base"] = mapping_to_dict(spec.base)
-    if spec.clamp_epsilon:
-        out["clamp_epsilon"] = spec.clamp_epsilon
+    for key in _KINDS[spec.kind][1]:
+        value = getattr(spec, key)
+        if key == "points":
+            value = [[t, v] for t, v in value]
+        elif key == "base":
+            value = mapping_to_dict(value)
+        elif key == "clamp_epsilon" and not value:
+            continue
+        out[key] = value
     return out
 
 
@@ -373,34 +369,35 @@ def _number(data: dict, key: str) -> float:
 
 
 def mapping_from_dict(data: dict) -> MappingSpec:
-    """Parse the documented JSON shape back into a validated spec."""
+    """Parse the documented JSON shape; the kind's factory validates the values.
+
+    ``clamp_epsilon`` is optional and defaults to the factory's value.  A
+    kind without a clamp accepts only ``"clamp_epsilon": 0``; any other
+    field the kind does not have is an error.
+    """
     if not isinstance(data, dict) or "kind" not in data:
         raise MappingError("mapping JSON must be an object with a 'kind' field")
     kind = data["kind"]
-    clamp = LOG_ODDS_CLAMP if kind == "log_odds" else 0.0
-    if "clamp_epsilon" in data:
-        clamp = _number(data, "clamp_epsilon")
-    if kind in ("piecewise_constant", "symmetric_extension") and clamp != 0.0:
-        raise MappingError(f"mapping kind {kind!r} has no clamp, got clamp_epsilon={clamp}")
-    try:
-        if kind == "identity":
-            _check_clamp(clamp)
-            return MappingSpec(kind="identity", clamp_epsilon=clamp)
-        elif kind == "log_odds":
-            return log_odds(clamp_epsilon=clamp)
-        elif kind == "affine":
-            return affine(_number(data, "a"), _number(data, "b"), clamp_epsilon=clamp)
-        elif kind == "power":
-            return power(_number(data, "k"), clamp_epsilon=clamp)
-        elif kind == "piecewise_linear":
-            return piecewise_linear(data["points"], clamp_epsilon=clamp)
-        elif kind == "piecewise_constant":
-            return piecewise_constant(
-                _number(data, "m_minus"), _number(data, "mid"), _number(data, "m_plus")
-            )
-        elif kind == "symmetric_extension":
-            return symmetric_extension(mapping_from_dict(data["base"]))
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise MappingError(f"unknown mapping kind {kind!r}; known kinds: {', '.join(_KINDS)}")
+    factory, fields = _KINDS[kind]
+    for key in data:
+        if key == "kind" or key in fields:
+            continue
+        if key != "clamp_epsilon":
+            raise MappingError(f"mapping kind {kind!r} has no field {key!r}")
+        clamp = _number(data, key)
+        if clamp != 0.0:
+            raise MappingError(f"mapping kind {kind!r} has no clamp, got clamp_epsilon={clamp}")
+    args = {}
+    for key in fields:
+        if key not in data:
+            if key != "clamp_epsilon":
+                raise MappingError(f"mapping JSON for kind {kind!r} is missing field {key!r}")
+        elif key == "base":
+            args[key] = mapping_from_dict(data[key])
+        elif key == "points":
+            args[key] = data[key]
         else:
-            raise MappingError(f"unknown mapping kind {kind!r}")
-    except KeyError as exc:
-        raise MappingError(f"mapping JSON for kind {kind!r} is missing field {exc}") from None
+            args[key] = _number(data, key)
+    return factory(**args)

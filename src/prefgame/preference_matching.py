@@ -108,7 +108,7 @@ def make_btl(rewards) -> BTLModel:
     return BTLModel(rewards=_as_readonly(r))
 
 
-def btl_preferences(model: BTLModel, tie_tolerance: float = 1e-9) -> PreferenceMatrix:
+def btl_preferences(model: BTLModel) -> PreferenceMatrix:
     """Pairwise win probabilities: the logistic function of reward gaps.
 
     Computed from exp(-|gap|) so large rewards neither overflow nor lose
@@ -118,7 +118,7 @@ def btl_preferences(model: BTLModel, tie_tolerance: float = 1e-9) -> PreferenceM
     diff = r[:, None] - r[None, :]
     damp = np.exp(-np.abs(diff))
     p = np.where(diff >= 0.0, 1.0 / (1.0 + damp), damp / (1.0 + damp))
-    return validate_preferences(p, tie_tolerance=tie_tolerance)
+    return validate_preferences(p)
 
 
 def pm_policy(model: BTLModel) -> Policy:
@@ -167,6 +167,19 @@ def ratio_payoff(spec: RatioPayoffSpec, target: Policy) -> PayoffMatrix:
     if not np.all(np.isfinite(a)):
         raise MappingError("ratio function produced non-finite payoffs")
     return make_payoff(a)
+
+
+def btl_family(c: float = 0.5) -> RatioPayoffSpec:
+    """The ratio family f(x) = x / (1 + x) with self-play payoff ``c``.
+
+    At a target's mass ratios this is the BTL win probability of the
+    target's log-masses taken as rewards.
+    """
+
+    def f(x: np.ndarray) -> np.ndarray:
+        return x / (1.0 + x)
+
+    return RatioPayoffSpec(f=f, diagonal_c=c)
 
 
 def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpec:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SUPPORT_THRESHOLD, PreferenceMatrix, TieError
+from .core import PreferenceMatrix, TieError
 from .solver import NashReport
 
-DEFAULT_MASS_TOL = 1e-6
+MASS_TOL = 1e-6
 
 SINGLETON = "singleton"
 CYCLE = "cycle"
@@ -56,7 +56,7 @@ class ConsistencyVerdict:
     ``condorcet_consistent`` is None when no single response beats all
     others; otherwise it records whether the solution is exactly that
     response.  ``smith_consistent`` means the solution's mass outside the
-    top group is below the mass tolerance.
+    top group is at most ``MASS_TOL``.
     """
 
     condorcet_winner: int | None
@@ -118,12 +118,7 @@ def smith_decomposition(pref: PreferenceMatrix) -> Decomposition:
     return Decomposition(groups=groups, kinds=kinds)
 
 
-def consistency_verdict(
-    pref: PreferenceMatrix,
-    nash: NashReport,
-    support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
-    mass_tolerance: float = DEFAULT_MASS_TOL,
-) -> ConsistencyVerdict:
+def consistency_verdict(pref: PreferenceMatrix, nash: NashReport) -> ConsistencyVerdict:
     """Relate a solved game's row strategy to the tournament structure.
 
     The Condorcet winner is read off the decomposition: in a tournament a
@@ -133,13 +128,13 @@ def consistency_verdict(
     winner = top[0] if len(top) == 1 else None
     outside = [i for i in range(pref.n) if i not in top]
     mass_outside = float(nash.row_strategy.w[outside].sum()) if outside else 0.0
-    support = nash.row_strategy.support(support_threshold)
+    support = nash.row_strategy.support()
     is_mixed = len(support) > 1
     condorcet_consistent = None if winner is None else support == [winner]
     return ConsistencyVerdict(
         condorcet_winner=winner,
         condorcet_consistent=condorcet_consistent,
-        smith_consistent=mass_outside <= mass_tolerance,
+        smith_consistent=mass_outside <= MASS_TOL,
         is_mixed=is_mixed,
         mass_outside_smith=mass_outside,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._simplex import INFEASIBLE, OPTIMAL, solve_standard_lp, solve_standard_lps
 from .core import (
-    DEFAULT_SUPPORT_THRESHOLD,
+    SUPPORT_THRESHOLD,
     PayoffMatrix,
     Policy,
     SolverError,
@@ -70,7 +70,7 @@ class UniquenessReport:
 
     ``coordinate_ranges[i]`` is the [min, max] of the i-th strategy weight
     over all optimal row strategies; ``unique`` means every range has width
-    at most the tolerance the report was computed with.
+    at most ``DEFAULT_VERIFY_TOL``.
     """
 
     unique: bool
@@ -104,11 +104,12 @@ def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     n, m = a.shape
     nv = n + 2 + m
     a_eq = np.zeros((m + 1, nv))
-    for j in range(m):
-        a_eq[j, :n] = a[:, j]
-        a_eq[j, n] = -1.0
-        a_eq[j, n + 1] = 1.0
-        a_eq[j, n + 2 + j] = -1.0
+    a_eq[:m, :n] = a.T
+    a_eq[:m, n] = -1.0
+    a_eq[:m, n + 1] = 1.0
+    # Index assignment, not -np.eye, whose -0.0 entries could surface as
+    # signed zeros in the reported strategies.
+    a_eq[np.arange(m), n + 2 + np.arange(m)] = -1.0
     a_eq[m, :n] = 1.0
     b_eq = np.zeros(m + 1)
     b_eq[m] = 1.0
@@ -179,25 +180,21 @@ def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
     return (row_best - value) + (value - col_best)
 
 
-def uniqueness_report(
-    payoff: PayoffMatrix,
-    nash: NashReport,
-    tolerance: float = DEFAULT_VERIFY_TOL,
-) -> UniquenessReport:
+def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessReport:
     """Measure the optimal-strategy polytope around a solved game.
 
     For each coordinate, two auxiliary LPs find its min and max over all
     strategies guaranteeing the game value.  All 2n LPs share their
     constraints, so they share one phase 1.  ``unique`` holds when every
-    coordinate is pinned to width at most ``tolerance``; the dual-support
-    flag records whether every column weight of the opponent's strategy is
-    active, the full-support condition tied to uniqueness.
+    coordinate is pinned to width at most ``DEFAULT_VERIFY_TOL``; the
+    dual-support flag records whether every column weight of the opponent's
+    strategy is active, the full-support condition tied to uniqueness.
     """
     a = payoff.a
     n = payoff.n
     w = nash.row_strategy.w
     column_slacks = w @ a - nash.value
-    dual_support_full = bool(np.all(nash.col_strategy.w > DEFAULT_SUPPORT_THRESHOLD))
+    dual_support_full = bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD))
     floor = nash.value - POLYTOPE_SLACK
     # Variables: strategy weights, then one surplus per column constraint.
     a_eq = np.zeros((n + 1, 2 * n))
@@ -228,7 +225,7 @@ def uniqueness_report(
         sum(result.iterations - phase_one for result in results),
     )
     widths = ranges[:, 1] - ranges[:, 0]
-    unique = bool(np.all(widths <= tolerance))
+    unique = bool(np.all(widths <= DEFAULT_VERIFY_TOL))
     return UniquenessReport(
         unique=unique,
         column_slacks=_as_readonly(column_slacks),

@@ -107,6 +107,23 @@ def test_unknown_mapping_name_exits_two(files, capsys):
     assert run(["solve", "--pref", pref, "--psi", "no_such_mapping"]) == 2
 
 
+def test_stray_mapping_field_exits_two(files, capsys):
+    _, write = files
+    pref = write("pref.json", {"n": 3, "p": RPS})
+    mapping = write("stray.json", {"kind": "identity", "k": 2})
+    assert run(["solve", "--pref", pref, "--psi", mapping]) == 2
+    assert capsys.readouterr().err == "error: mapping kind 'identity' has no field 'k'\n"
+
+
+def test_mapping_kind_name_needs_its_fields(files, capsys, monkeypatch):
+    tmp_path, write = files
+    pref = write("pref.json", {"n": 3, "p": RPS})
+    monkeypatch.chdir(tmp_path)
+    assert not os.path.exists("affine")
+    assert run(["solve", "--pref", pref, "--psi", "affine"]) == 2
+    assert capsys.readouterr().err == "error: mapping JSON for kind 'affine' is missing field 'a'\n"
+
+
 def test_decompose(files, capsys):
     _, write = files
     path = write("pref.json", {"n": 3, "p": RPS})

@@ -104,7 +104,8 @@ class TestPolicy:
     def test_support_threshold(self):
         p = pg.make_policy([0.5, 0.5 - 1e-8, 1e-8])
         assert p.support() == [0, 1]
-        assert p.support(threshold=1e-9) == [0, 1, 2]
+        # The threshold is the fixed 1e-7: mass just above it counts.
+        assert pg.make_policy([0.5, 0.5 - 2e-7, 2e-7]).support() == [0, 1, 2]
 
     def test_read_only(self):
         p = pg.Policy.uniform(3)

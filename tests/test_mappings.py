@@ -1,11 +1,14 @@
 """Mapping evaluation, the midpoint shape conditions, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefgame as pg
+from prefgame import mappings
 from prefgame.mappings import eval_mapping, eval_mapping_array, mapping_from_dict, mapping_to_dict
 
 
@@ -13,6 +16,7 @@ def test_identity_values():
     spec = pg.identity()
     ts = np.linspace(0.0, 1.0, 11)
     np.testing.assert_array_equal(eval_mapping_array(spec, ts), ts)
+    np.testing.assert_array_equal(eval_mapping_array(pg.identity(0.25), ts), np.clip(ts, 0.25, 0.75))
 
 
 def test_affine_values():
@@ -229,6 +233,42 @@ def test_serialization_round_trip(spec):
     parsed = mapping_from_dict(data)
     ts = np.linspace(0.0, 1.0, 257)
     np.testing.assert_array_equal(eval_mapping_array(parsed, ts), eval_mapping_array(spec, ts))
+
+
+# One dict per kind, with fields in serialization order and float values, so
+# that a round trip must reproduce it key for key.
+KIND_DICTS = [
+    {"kind": "identity"},
+    {"kind": "identity", "clamp_epsilon": 0.01},
+    {"kind": "log_odds", "clamp_epsilon": 1e-6},
+    {"kind": "affine", "a": 3.0, "b": -1.0, "clamp_epsilon": 0.1},
+    {"kind": "power", "k": 2.5},
+    {"kind": "piecewise_linear", "points": [[0.0, -4.5], [0.5, 0.5], [1.0, 1.0]]},
+    {"kind": "piecewise_constant", "m_minus": -1.0, "mid": 0.0, "m_plus": 1.0},
+    {"kind": "symmetric_extension", "base": {"kind": "power", "k": 2.0, "clamp_epsilon": 0.001}},
+]
+
+
+@pytest.mark.parametrize("data", KIND_DICTS)
+def test_dict_round_trip(data):
+    assert json.dumps(mapping_to_dict(mapping_from_dict(data))) == json.dumps(data)
+
+
+def test_dict_round_trip_covers_every_kind():
+    assert {data["kind"] for data in KIND_DICTS} == set(mappings._KINDS)
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"kind": "identity", "k": 2}, "k"),
+        ({"kind": "affine", "a": 1.0, "b": 0.0, "points": []}, "points"),
+        ({"kind": "symmetric_extension", "base": {"kind": "power", "k": 2.0, "mid": 0.0}}, "mid"),
+    ],
+)
+def test_unknown_field_is_named(data, field):
+    with pytest.raises(pg.MappingError, match=f"has no field '{field}'"):
+        mapping_from_dict(data)
 
 
 def test_log_odds_parse_fills_default_clamp():
