@@ -10,6 +10,19 @@ Problem sizes here are tiny (tens of variables), so everything is dense.
 Phase 1 depends only on A and b, so ``solve_standard_lps`` runs it once
 for a batch of objectives over the same constraints and starts each
 phase 2 from a copy of the feasible tableau.
+
+Each phase works on one ``(m + 1) x (columns + 1)`` array: the m
+constraint rows of the tableau with the right-hand side as the last
+column, and the reduced costs (minus the objective in the corner) as the
+last row.  A pivot scales the pivot row, forms the rank-1 product of the
+factor column and the pivot row in a buffer the phase allocates once,
+and subtracts it from every row at once, reduced costs included.  Each
+entry gets the product and subtraction it would get if the reduced costs
+were updated on their own, so the pivots and every reported number are
+the same; only the signs of zeros in the reduced-cost row, which nothing
+reads, can differ while the tableau stays finite.  At these sizes
+numpy's per-call cost outweighs the arithmetic, which is why the loop
+makes few calls per pivot.
 """
 
 from __future__ import annotations
@@ -39,36 +52,44 @@ class LPResult:
     phase_one_iterations: int
 
 
-def _pivot(tableau: np.ndarray, red: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
+def _pivot(work: np.ndarray, buf: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    prow = work[row]
+    prow /= prow[col]
+    factors = work[:, col : col + 1].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    red -= red[col] * tableau[row]
+    # Filling the buffer with the row and scaling it in place runs faster
+    # than one broadcast multiply of the factor column by the row; the
+    # products are the same.
+    buf[:] = prow
+    buf *= factors
+    work -= buf
     basis[row] = col
 
 
 def _iterate(
-    tableau: np.ndarray,
-    red: np.ndarray,
+    work: np.ndarray,
+    buf: np.ndarray,
     basis: np.ndarray,
     n_enterable: int,
     iterations: int,
 ) -> tuple[int, str]:
+    red = work[-1, :n_enterable]
     while True:
-        negative = np.flatnonzero(red[:n_enterable] < -PIVOT_TOL)
-        if negative.size == 0:
+        col = int((red < -PIVOT_TOL).argmax())
+        if not red[col] < -PIVOT_TOL:
             return iterations, OPTIMAL
-        col = int(negative[0])
-        column = tableau[:, col]
-        rows = np.flatnonzero(column > PIVOT_TOL)
+        column = work[:-1, col]
+        rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return iterations, UNBOUNDED
-        ratios = tableau[rows, -1] / column[rows]
-        best = float(ratios.min())
-        ties = rows[ratios <= best + RATIO_TIE_TOL * max(1.0, abs(best))]
-        row = int(ties[np.argmin(basis[ties])])
-        _pivot(tableau, red, basis, row, col)
+        if rows.size == 1:
+            row = int(rows[0])
+        else:
+            ratios = work[rows, -1] / column[rows]
+            best = float(ratios.min())
+            ties = rows[ratios <= best + RATIO_TIE_TOL * max(1.0, abs(best))]
+            row = int(ties[basis[ties].argmin()])
+        _pivot(work, buf, basis, row, col)
         iterations += 1
         if iterations > MAX_ITER:
             raise SolverError("simplex iteration cap exceeded; anti-cycling pivoting should prevent this")
@@ -78,24 +99,29 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     """Find a basic feasible point of A x = b, x >= 0.
 
     Minimizes the mass of artificial variables, then drives leftover
-    artificials out of the basis.  Returns ``(tableau, basis, iterations)``
-    with the artificial columns removed; ``tableau`` and ``basis`` are
-    ``None`` when the artificial mass stays above ``FEAS_TOL``.  ``a`` and
-    ``b`` are modified in place.
+    artificials out of the basis.  Returns ``(work, basis, iterations)``
+    with the artificial columns removed and a last row for phase 2 to fill
+    with its reduced costs; ``work`` and ``basis`` are ``None`` when the
+    artificial mass stays above ``FEAS_TOL``.  ``a`` and ``b`` are modified
+    in place.
     """
     m, n = a.shape
     flip = b < 0.0
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
+    work = np.zeros((m + 1, n + m + 1))
+    work[:m] = np.hstack([a, np.eye(m), b[:, None]])
     basis = np.arange(n, n + m)
 
     # Phase 1 reduced costs for artificial-sum objective: the basis is all
     # artificials, each with cost one.
-    red = np.concatenate([-tableau[:, : n + m].sum(axis=0), [-b.sum()]])
+    red = work[m]
+    red[: n + m] = -work[:m, : n + m].sum(axis=0)
+    red[-1] = -b.sum()
     red[n : n + m] += 1.0
-    iterations, status = _iterate(tableau, red, basis, n + m, 0)
+    buf = np.empty_like(work)
+    iterations, status = _iterate(work, buf, basis, n + m, 0)
     if status != OPTIMAL:
         raise SolverError("phase-1 subproblem cannot be unbounded")
     artificial_mass = -red[-1]
@@ -104,36 +130,31 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
 
     # Drive leftover artificials out of the basis; a row with no usable real
     # column is redundant and gets dropped.
-    keep = np.ones(m, dtype=bool)
-    in_basis = set(int(v) for v in basis)
+    keep = np.ones(m + 1, dtype=bool)
     for i in range(m):
         if basis[i] < n:
             continue
-        candidates = [j for j in range(n) if j not in in_basis and abs(tableau[i, j]) > PIVOT_TOL]
-        if candidates:
-            j = candidates[0]
-            in_basis.discard(int(basis[i]))
-            in_basis.add(j)
-            _pivot(tableau, red, basis, i, j)
+        usable = np.abs(work[i, :n]) > PIVOT_TOL
+        usable[basis[basis < n]] = False
+        if usable.any():
+            _pivot(work, buf, basis, i, int(usable.argmax()))
         else:
             keep[i] = False
-    if not np.all(keep):
-        tableau = tableau[keep]
-        basis = basis[keep]
-
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    return tableau, basis, iterations
+    columns = np.r_[:n, n + m]
+    return work[np.ix_(keep, columns)], basis[keep[:m]], iterations
 
 
-def _phase_two(c: np.ndarray, tableau: np.ndarray, basis: np.ndarray, iterations: int) -> LPResult:
-    """Minimize c.x from a feasible tableau; ``tableau`` and ``basis`` are modified in place.
+def _phase_two(c: np.ndarray, work: np.ndarray, basis: np.ndarray, iterations: int) -> LPResult:
+    """Minimize c.x from a feasible work array; ``work`` and ``basis`` are modified in place.
 
     ``iterations`` is the phase-1 pivot count, which the cap also covers.
     """
     n = c.shape[0]
+    tableau = work[:-1]
     cost_basis = c[basis]
-    red = np.concatenate([c - cost_basis @ tableau[:, :n], [-(cost_basis @ tableau[:, -1])]])
-    total, status = _iterate(tableau, red, basis, n, iterations)
+    work[-1, :n] = c - cost_basis @ tableau[:, :n]
+    work[-1, -1] = -(cost_basis @ tableau[:, -1])
+    total, status = _iterate(work, np.empty_like(work), basis, n, iterations)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, np.zeros(n), float("nan"), total, phase_one_iterations=iterations)
 
@@ -164,13 +185,13 @@ def solve_standard_lps(cs, a_eq, b_eq) -> list[LPResult]:
         shapes = ", ".join(str(c.shape) for c in cs)
         raise SolverError(f"LP shape mismatch: A is {a.shape}, b is {b.shape}, c is {shapes}")
 
-    tableau, basis, iterations = _phase_one(a, b)
-    if tableau is None:
+    work, basis, iterations = _phase_one(a, b)
+    if work is None:
         return [
             LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations, phase_one_iterations=iterations)
             for _ in cs
         ]
-    return [_phase_two(c, tableau.copy(), basis.copy(), iterations) for c in cs]
+    return [_phase_two(c, work.copy(), basis.copy(), iterations) for c in cs]
 
 
 def solve_standard_lp(c, a_eq, b_eq) -> LPResult:

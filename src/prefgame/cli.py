@@ -29,7 +29,7 @@ from .core import (
 )
 from .experiment import monte_carlo
 from .generators import GeneratorConfig, game_four, game_six, game_two, random_tournament
-from .mappings import MappingSpec, check_conditions, identity, mapping_from_dict
+from .mappings import DEFAULT_GRID_RESOLUTION, DEFAULT_MARGIN, MappingSpec, check_conditions, identity, mapping_from_dict
 from .preference_matching import (
     btl_family,
     btl_preferences,
@@ -308,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-psi", parents=[output], help="grid-check the mapping conditions")
     p.add_argument("--psi", required=True)
-    p.add_argument("--grid", type=int, default=10_001)
-    p.add_argument("--margin", type=float, default=1e-12)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_RESOLUTION)
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.set_defaults(handler=_cmd_check_psi)
 
     p = sub.add_parser("verdict", parents=[output], help="solve and judge consistency")

@@ -118,6 +118,13 @@ def power(k: float, clamp_epsilon: float = 0.0) -> MappingSpec:
     return MappingSpec(kind="power", k=float(k), clamp_epsilon=clamp_epsilon)
 
 
+def _real(value) -> float:
+    """``float(value)``, except that a boolean, which ``float`` reads as 1 or 0, is a ``TypeError``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def piecewise_linear(points, clamp_epsilon: float = 0.0) -> MappingSpec:
     """Linear interpolation through ``points``, a list of (t, value) pairs.
 
@@ -129,7 +136,7 @@ def piecewise_linear(points, clamp_epsilon: float = 0.0) -> MappingSpec:
     """
     _check_clamp(clamp_epsilon)
     try:
-        pts = tuple((float(t), float(v)) for t, v in points)
+        pts = tuple((_real(t), _real(v)) for t, v in points)
     except (TypeError, ValueError):
         raise MappingError(f"piecewise_linear points must be (t, value) pairs of numbers, got {points!r}") from None
     if len(pts) < 2:
@@ -363,7 +370,7 @@ def mapping_to_dict(spec: MappingSpec) -> dict:
 
 def _number(data: dict, key: str) -> float:
     try:
-        return float(data[key])
+        return _real(data[key])
     except (TypeError, ValueError):
         raise MappingError(f"mapping field {key!r} must be a number, got {data[key]!r}") from None
 

@@ -47,6 +47,7 @@ class NashReport:
     ``duality_gap`` is the difference between the two sides' optimal
     values.  For a skew-symmetric game both sides come from one solve, so
     the gap is twice the distance of ``value`` from its exact value 0.
+    ``solver_iterations`` counts the simplex pivots of every LP solved.
     """
 
     row_strategy: Policy
@@ -61,6 +62,7 @@ class NashReport:
             "col_strategy": self.col_strategy.w.tolist(),
             "value": self.value,
             "duality_gap": self.duality_gap,
+            "solver_iterations": self.solver_iterations,
         }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import prefgame as pg
-from prefgame import cli, experiment
+from prefgame import cli, experiment, mappings
 from prefgame.cli import run
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
@@ -70,7 +70,9 @@ def test_solve_json(files, capsys):
     path = write("pref.json", {"n": 3, "p": RPS})
     assert run(["solve", "--pref", path, "--psi", "identity", "--format", "json"]) == 0
     report = out_json(capsys)
-    assert set(report) == {"row_strategy", "col_strategy", "value", "duality_gap"}
+    # emit sorts the keys.
+    assert list(report) == ["col_strategy", "duality_gap", "row_strategy", "solver_iterations", "value"]
+    assert report["solver_iterations"] > 0
     assert report["value"] == pytest.approx(0.5, abs=1e-9)
     np.testing.assert_allclose(report["row_strategy"], 1.0 / 3.0, atol=1e-8)
 
@@ -113,6 +115,14 @@ def test_stray_mapping_field_exits_two(files, capsys):
     mapping = write("stray.json", {"kind": "identity", "k": 2})
     assert run(["solve", "--pref", pref, "--psi", mapping]) == 2
     assert capsys.readouterr().err == "error: mapping kind 'identity' has no field 'k'\n"
+
+
+def test_boolean_mapping_field_exits_two(files, capsys):
+    _, write = files
+    pref = write("pref.json", {"n": 3, "p": RPS})
+    mapping = write("bool.json", {"kind": "power", "k": True})
+    assert run(["solve", "--pref", pref, "--psi", mapping]) == 2
+    assert capsys.readouterr().err == "error: mapping field 'k' must be a number, got True\n"
 
 
 def test_mapping_kind_name_needs_its_fields(files, capsys, monkeypatch):
@@ -425,6 +435,12 @@ SUBCOMMAND_FLAGS = {
         "--psi", "--trials", "--seed", "--n-min", "--n-max", "--force-no-winner", "--witness-dir", "--no-timing",
     },
 }
+
+
+def test_check_psi_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["check-psi", "--psi", "identity"])
+    assert args.grid == mappings.DEFAULT_GRID_RESOLUTION
+    assert args.margin == mappings.DEFAULT_MARGIN
 
 
 def test_subcommands_take_only_the_flags_they_read():

@@ -271,6 +271,24 @@ def test_unknown_field_is_named(data, field):
         mapping_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"kind": "power", "k": True}, "'k'"),
+        ({"kind": "affine", "a": 1.0, "b": False}, "'b'"),
+        ({"kind": "identity", "clamp_epsilon": False}, "'clamp_epsilon'"),
+        ({"kind": "piecewise_constant", "m_minus": -1, "mid": 0, "m_plus": 1, "clamp_epsilon": False}, "'clamp_epsilon'"),
+        ({"kind": "piecewise_linear", "points": [[0, 0.0], [1, True]]}, "points"),
+        ({"kind": "symmetric_extension", "base": {"kind": "power", "k": False}}, "'k'"),
+    ],
+)
+def test_boolean_is_not_a_number(data, field):
+    # float(True) is 1.0, so JSON true/false would otherwise parse as 1 and 0.
+    with pytest.raises(pg.MappingError, match=field) as info:
+        mapping_from_dict(data)
+    assert "must be" in str(info.value)
+
+
 def test_log_odds_parse_fills_default_clamp():
     parsed = mapping_from_dict({"kind": "log_odds"})
     assert parsed.clamp_epsilon == 1e-9

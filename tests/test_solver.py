@@ -93,7 +93,7 @@ class TestMaximin:
 
     def test_report_dict_fields(self):
         d = pg.solve_maximin(rps_game()).to_dict()
-        assert set(d) == {"row_strategy", "col_strategy", "value", "duality_gap"}
+        assert list(d) == ["row_strategy", "col_strategy", "value", "duality_gap", "solver_iterations"]
 
     def test_shifted_scaled_value(self):
         pay = rps_game()
