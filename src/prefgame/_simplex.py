@@ -184,6 +184,8 @@ def solve_standard_lps(cs, a_eq, b_eq) -> list[LPResult]:
     if b.shape[0] != m or any(c.shape[0] != n for c in cs):
         shapes = ", ".join(str(c.shape) for c in cs)
         raise SolverError(f"LP shape mismatch: A is {a.shape}, b is {b.shape}, c is {shapes}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and all(np.isfinite(c).all() for c in cs)):
+        raise SolverError("LP inputs must be finite")
 
     work, basis, iterations = _phase_one(a, b)
     if work is None:

@@ -29,7 +29,7 @@ from .core import (
 )
 from .experiment import monte_carlo
 from .generators import GeneratorConfig, game_four, game_six, game_two, random_tournament
-from .mappings import DEFAULT_GRID_RESOLUTION, DEFAULT_MARGIN, MappingSpec, check_conditions, identity, mapping_from_dict
+from .mappings import MappingSpec, check_conditions, identity, mapping_from_dict
 from .preference_matching import (
     btl_family,
     btl_preferences,
@@ -176,7 +176,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check_psi(args) -> int:
     mapping = load_mapping(args.psi)
-    report = check_conditions(mapping, grid_resolution=args.grid, margin=args.margin)
+    report = check_conditions(mapping)
     emit(report.to_dict(), args)
     all_ok = report.condorcet_ok and report.mixed_ok and report.smith_ok
     return EXIT_OK if all_ok else EXIT_VIOLATION
@@ -306,10 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pref", required=True)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("check-psi", parents=[output], help="grid-check the mapping conditions")
+    p = sub.add_parser("check-psi", parents=[output], help="decide the mapping conditions")
     p.add_argument("--psi", required=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_RESOLUTION)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.set_defaults(handler=_cmd_check_psi)
 
     p = sub.add_parser("verdict", parents=[output], help="solve and judge consistency")

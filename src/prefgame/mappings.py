@@ -2,8 +2,8 @@
 
 A mapping turns a pairwise preference probability into a game payoff.  The
 shape of the mapping around the midpoint 1/2 decides which social-choice
-guarantees the induced game keeps; ``check_conditions`` tests the three
-relevant shape conditions on a dense grid:
+guarantees the induced game keeps; ``check_conditions`` decides the three
+relevant shape conditions:
 
 1. above-midpoint values at or above the midpoint value, below-midpoint
    values strictly under it (winner consistency);
@@ -12,8 +12,11 @@ relevant shape conditions on a dense grid:
 3. ``f(t) + f(1-t)`` exactly twice the midpoint value, plus the strict
    below-midpoint part (top-group consistency).
 
-Verdicts are grid verdicts by contract: strictness is certified only up to
-a configurable margin and only at sampled points.
+The verdicts need no sampling: they are decided on the critical points the
+mapping's definition gives (0, 1/2, a table's breakpoints and the mirror
+``1 - t`` of each).  Between neighbouring points f(t) and f(t) + f(1-t)
+are monotone, or the sum is convex or concave about 1/2, so every extreme
+value a condition compares sits at a critical point.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import numpy as np
 
 from .core import MappingError
 
-DEFAULT_GRID_RESOLUTION = 10_001
-DEFAULT_MARGIN = 1e-12
 LOG_ODDS_CLAMP = 1e-9
-# Grid points on [0, 1/2] at which ``symmetric_extension`` checks its base.
-EXTENSION_CHECK_RESOLUTION = 2001
+# Allowance for the equality and non-strict tests, relative to the largest
+# |f| on the critical set; it absorbs rounding in mirrored arguments 1 - t.
+ROUND_OFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,21 +57,18 @@ class MappingSpec:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Grid verdicts for the three mapping shape conditions.
+    """Verdicts for the three mapping shape conditions.
 
     ``witnesses`` holds one ``(t, reason)`` pair for each failed condition,
-    pointing at the worst sampled violation.  ``jump_below``/``jump_above``
-    estimate the one-sided gaps ``|f(1/2 ± h) - f(1/2)|`` at the finest grid
-    step ``h``; a grid cannot distinguish continuity at the midpoint from a
-    jump, so the estimates are reported and interpretation is the caller's.
+    at its worst violation among the critical points.  ``jump_below`` and
+    ``jump_above`` are ``|f(t) - f(1/2)|`` at the floats next to 1/2: about
+    1e-16 where f is continuous there, the full jump for a step.
     """
 
     condorcet_ok: bool
     mixed_ok: bool
     smith_ok: bool
     witnesses: tuple[tuple[float, str], ...]
-    grid_resolution: int
-    margin: float
     jump_below: float
     jump_above: float
 
@@ -79,8 +78,6 @@ class ConditionReport:
             "mixed_ok": self.mixed_ok,
             "smith_ok": self.smith_ok,
             "witnesses": [[t, reason] for t, reason in self.witnesses],
-            "grid_resolution": self.grid_resolution,
-            "margin": self.margin,
             "jump_below": self.jump_below,
             "jump_above": self.jump_above,
         }
@@ -173,11 +170,11 @@ def symmetric_extension(base: MappingSpec) -> MappingSpec:
 
     The result equals ``base`` on [0, 1/2] and ``2*base(1/2) - base(1-t)``
     above, so ``f(t) + f(1-t) = 2*f(1/2)`` holds by construction.  The base
-    must sit strictly below its midpoint value on [0, 1/2); this is checked
-    on a grid of ``EXTENSION_CHECK_RESOLUTION`` points and violations are
-    rejected.
+    must sit strictly below its midpoint value on [0, 1/2); this is decided
+    on the base's critical points up to 1/2, and a violation is rejected.
     """
-    ts = np.linspace(0.0, 0.5, EXTENSION_CHECK_RESOLUTION)
+    ts = _critical_points(base)
+    ts = ts[ts <= 0.5]
     vals = eval_mapping_array(base, ts)
     if not np.all(np.isfinite(vals)):
         raise MappingError("base mapping is not finite on [0, 1/2]")
@@ -212,7 +209,7 @@ def eval_mapping_array(spec: MappingSpec, t) -> np.ndarray:
     if kind == "log_odds":
         # Clamp numerator and complement separately: mirrored arguments t and
         # 1-t then produce exactly opposite values, which the symmetry
-        # condition needs at margins far below the 1/eps rounding blow-up.
+        # condition needs at an allowance far below the 1/eps rounding blow-up.
         eps = spec.clamp_epsilon
         num = np.maximum(ts, eps)
         den = np.maximum(1.0 - ts, eps)
@@ -251,42 +248,45 @@ def eval_mapping(spec: MappingSpec, t: float) -> float:
     return out
 
 
-def _grid(resolution: int) -> np.ndarray:
-    # The midpoint anchors all three conditions, so force its exact presence.
-    ts = np.linspace(0.0, 1.0, resolution)
-    return np.unique(np.concatenate([ts, [0.5]]))
+def _critical_points(spec: MappingSpec) -> np.ndarray:
+    """0, 1/2, a table's breakpoints in [0, 1] or a symmetric extension's base
+    points up to 1/2, and the mirror 1 - t of each.
 
-
-def check_conditions(
-    spec: MappingSpec,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
-    margin: float = DEFAULT_MARGIN,
-) -> ConditionReport:
-    """Test the three midpoint shape conditions on a uniform grid.
-
-    Strict inequalities are certified with slack ``margin``; non-strict ones
-    are allowed to miss by ``margin`` to absorb float rounding.  Each failed
-    condition contributes its worst sampled violation to ``witnesses``.
+    A clamp end ε is not added: f is constant on [0, ε], so 0 stands for it.
     """
-    if grid_resolution < 3:
-        raise MappingError("grid_resolution must be at least 3")
-    if margin <= 0.0:
-        raise MappingError("margin must be positive")
-    ts = _grid(grid_resolution)
+    ts = [0.0, 0.5]
+    if spec.kind == "piecewise_linear":
+        ts += [t for t, _ in spec.points if t <= 1.0]
+    elif spec.kind == "symmetric_extension":
+        assert spec.base is not None
+        ts += [t for t in _critical_points(spec.base) if t <= 0.5]
+    return np.array(sorted({*ts, *(1.0 - t for t in ts)}))
+
+
+def check_conditions(spec: MappingSpec) -> ConditionReport:
+    """Decide the three midpoint shape conditions on ``spec``'s critical points.
+
+    The strict below-midpoint test is exact.  The equality test and the
+    non-strict tests may miss by ``ROUND_OFF`` times the largest |f| on the
+    points.  Each failed condition contributes its worst violation to
+    ``witnesses``.
+    """
+    ts = _critical_points(spec)
     vals = eval_mapping_array(spec, ts)
     mirrored = eval_mapping_array(spec, 1.0 - ts)
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(mirrored))):
-        raise MappingError(f"mapping {spec.kind} is not finite on the grid")
+        raise MappingError(f"mapping {spec.kind} is not finite on [0, 1]")
     mid = eval_mapping(spec, 0.5)
+    allowance = ROUND_OFF * float(np.abs(vals).max())
 
     below = ts < 0.5
     at_or_above = ~below
     witnesses: list[tuple[float, str]] = []
 
     upper_gap = vals[at_or_above] - mid
-    upper_ok = bool(np.all(upper_gap >= -margin))
-    lower_gap = (mid - margin) - vals[below]
-    lower_ok = bool(np.all(lower_gap > 0.0)) if np.any(below) else True
+    upper_ok = bool(np.all(upper_gap >= -allowance))
+    lower_gap = mid - vals[below]
+    lower_ok = bool(np.all(lower_gap > 0.0))
     condorcet_ok = upper_ok and lower_ok
     if not upper_ok:
         i = int(np.argmin(upper_gap))
@@ -302,7 +302,7 @@ def check_conditions(
         )
 
     sym = vals + mirrored - 2.0 * mid
-    sym_floor_ok = bool(np.all(sym >= -margin))
+    sym_floor_ok = bool(np.all(sym >= -allowance))
     mixed_ok = condorcet_ok and sym_floor_ok
     if condorcet_ok and not sym_floor_ok:
         i = int(np.argmin(sym))
@@ -310,7 +310,7 @@ def check_conditions(
             (float(ts[i]), f"value plus mirrored value falls {-float(sym[i]):.6g} short of twice the midpoint value")
         )
 
-    sym_exact_ok = bool(np.all(np.abs(sym) <= margin))
+    sym_exact_ok = bool(np.all(np.abs(sym) <= allowance))
     smith_ok = sym_exact_ok and lower_ok
     if not sym_exact_ok:
         i = int(np.argmax(np.abs(sym)))
@@ -318,22 +318,14 @@ def check_conditions(
             (float(ts[i]), f"value plus mirrored value misses twice the midpoint value by {float(abs(sym[i])):.6g}")
         )
 
-    below_ts = ts[below]
-    above_ts = ts[ts > 0.5]
-    jump_below = (
-        abs(float(eval_mapping(spec, float(below_ts[-1]))) - mid) if below_ts.size else 0.0
-    )
-    jump_above = (
-        abs(float(eval_mapping(spec, float(above_ts[0]))) - mid) if above_ts.size else 0.0
-    )
+    jump_below = abs(eval_mapping(spec, np.nextafter(0.5, 0.0)) - mid)
+    jump_above = abs(eval_mapping(spec, np.nextafter(0.5, 1.0)) - mid)
 
     return ConditionReport(
         condorcet_ok=condorcet_ok,
         mixed_ok=mixed_ok,
         smith_ok=smith_ok,
         witnesses=tuple(witnesses),
-        grid_resolution=grid_resolution,
-        margin=margin,
         jump_below=jump_below,
         jump_above=jump_above,
     )

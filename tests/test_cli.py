@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import prefgame as pg
-from prefgame import cli, experiment, mappings
+from prefgame import cli, experiment
 from prefgame.cli import run
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
@@ -164,6 +164,24 @@ def test_check_mapping_violating_file(files, capsys):
     assert report["condorcet_ok"] is True
     assert report["smith_ok"] is False
     assert report["witnesses"]
+
+
+@pytest.mark.parametrize(
+    "points,failed",
+    [
+        # A spike above the midpoint value and a dip of f(t) + f(1-t), both
+        # narrower than the spacing of a dense grid.
+        ([[0, -1], [0.10002, -1], [0.10003, 5], [0.10004, -1], [0.5, 0], [1, 1]], "condorcet_ok"),
+        ([[0, 0], [0.5, 0.5], [0.70002, 0.70002], [0.70003, 0.69], [0.70004, 0.70004], [1, 1]], "mixed_ok"),
+    ],
+)
+def test_check_mapping_narrow_violation_exits_one(files, capsys, points, failed):
+    _, write = files
+    path = write("narrow.json", {"kind": "piecewise_linear", "points": points})
+    assert run(["check-psi", "--psi", path, "--format", "json"]) == 1
+    report = out_json(capsys)
+    assert report[failed] is False
+    assert report["smith_ok"] is False
 
 
 def test_verdict_consistent(files, capsys):
@@ -425,7 +443,7 @@ SUBCOMMAND_FLAGS = {
     "validate": {"--pref"},
     "solve": {"--pref", "--psi", "--tol"},
     "decompose": {"--pref"},
-    "check-psi": {"--psi", "--grid", "--margin"},
+    "check-psi": {"--psi"},
     "verdict": {"--pref", "--psi"},
     "btl": {"--rewards"},
     "kkt": {"--payoff", "--target", "--tol"},
@@ -435,12 +453,6 @@ SUBCOMMAND_FLAGS = {
         "--psi", "--trials", "--seed", "--n-min", "--n-max", "--force-no-winner", "--witness-dir", "--no-timing",
     },
 }
-
-
-def test_check_psi_defaults_are_the_library_defaults():
-    args = cli.build_parser().parse_args(["check-psi", "--psi", "identity"])
-    assert args.grid == mappings.DEFAULT_GRID_RESOLUTION
-    assert args.margin == mappings.DEFAULT_MARGIN
 
 
 def test_subcommands_take_only_the_flags_they_read():
@@ -457,6 +469,7 @@ def test_subcommands_take_only_the_flags_they_read():
     [
         ["validate", "--pref", "pref.json", "--seed", "3"],
         ["verdict", "--pref", "pref.json", "--psi", "identity", "--tol", "1e-3"],
+        ["check-psi", "--psi", "identity", "--grid", "5"],
     ],
 )
 def test_ignored_flags_are_rejected(argv, capsys):

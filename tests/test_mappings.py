@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefgame as pg
+from grid_oracle import grid_verdicts
 from prefgame import mappings
 from prefgame.mappings import eval_mapping, eval_mapping_array, mapping_from_dict, mapping_to_dict
+
+# A spike above the midpoint value, and a dip of f(t) + f(1-t) under twice
+# it, each narrower than the 1e-4 spacing of a dense grid.
+SPIKE = [(0.0, -1.0), (0.10002, -1.0), (0.10003, 5.0), (0.10004, -1.0), (0.5, 0.0), (1.0, 1.0)]
+DIP = [(0.0, 0.0), (0.5, 0.5), (0.70002, 0.70002), (0.70003, 0.69), (0.70004, 0.70004), (1.0, 1.0)]
 
 
 def test_identity_values():
@@ -101,8 +107,8 @@ def test_shape_judgment_is_not_the_factory_job():
     # rejects their shape.
     flat = pg.power(0.0)
     falling = pg.affine(-2.0, 0.0)
-    assert not pg.check_conditions(flat, grid_resolution=101).condorcet_ok
-    assert not pg.check_conditions(falling, grid_resolution=101).condorcet_ok
+    assert not pg.check_conditions(flat).condorcet_ok
+    assert not pg.check_conditions(falling).condorcet_ok
 
 
 def test_out_of_domain_raises():
@@ -148,6 +154,10 @@ class TestSymmetricExtension:
         with pytest.raises(pg.MappingError):
             pg.symmetric_extension(flat)
 
+    def test_rejects_spike_between_dense_grid_points(self):
+        with pytest.raises(pg.MappingError, match=r"base\(0.10003\) = 5.0"):
+            pg.symmetric_extension(pg.piecewise_linear(SPIKE[:-1]))
+
     def test_half_domain_base_is_accepted(self):
         base = pg.piecewise_linear([(0.0, -1.0), (0.5, 0.25)])
         ext = pg.symmetric_extension(base)
@@ -159,7 +169,6 @@ class TestConditions:
         report = pg.check_conditions(pg.identity())
         assert report.condorcet_ok and report.mixed_ok and report.smith_ok
         assert report.witnesses == ()
-        assert report.grid_resolution == 10_001
 
     def test_log_odds_passes_all(self):
         report = pg.check_conditions(pg.log_odds())
@@ -199,20 +208,39 @@ class TestConditions:
         assert not report.mixed_ok
         assert not report.smith_ok
 
-    def test_smooth_jump_estimate_shrinks_with_grid(self):
-        coarse = pg.check_conditions(pg.identity(), grid_resolution=101)
-        fine = pg.check_conditions(pg.identity(), grid_resolution=10_001)
-        assert fine.jump_below < coarse.jump_below
-
-    def test_bad_arguments(self):
-        with pytest.raises(pg.MappingError):
-            pg.check_conditions(pg.identity(), grid_resolution=2)
-        with pytest.raises(pg.MappingError):
-            pg.check_conditions(pg.identity(), margin=0.0)
+    def test_jumps_are_taken_next_to_the_midpoint(self):
+        step = pg.check_conditions(pg.piecewise_constant(-1.0, 0.0, 1.0))
+        assert (step.jump_below, step.jump_above) == (1.0, 1.0)
+        smooth = pg.check_conditions(pg.identity())
+        assert smooth.jump_below <= 1e-15 and smooth.jump_above <= 1e-15
 
     def test_report_dict_shape(self):
         d = pg.check_conditions(pg.identity()).to_dict()
-        assert set(d) >= {"condorcet_ok", "mixed_ok", "smith_ok", "witnesses", "margin"}
+        assert list(d) == ["condorcet_ok", "mixed_ok", "smith_ok", "witnesses", "jump_below", "jump_above"]
+
+    def test_spike_between_grid_points_fails_condorcet(self):
+        report = pg.check_conditions(pg.piecewise_linear(SPIKE))
+        assert not report.condorcet_ok
+        assert report.witnesses[0] == (0.10003, "value 5 is not strictly below the midpoint value 0")
+
+    def test_dip_between_grid_points_fails_mixed_and_smith(self):
+        report = pg.check_conditions(pg.piecewise_linear(DIP))
+        assert report.condorcet_ok
+        assert not report.mixed_ok
+        assert not report.smith_ok
+        t_bad, reason = report.witnesses[0]
+        assert t_bad == pytest.approx(0.29997)
+        assert "falls 0.01003 short" in reason
+
+    def test_a_dense_grid_misses_both(self):
+        assert grid_verdicts(pg.piecewise_linear(SPIKE))[0]
+        assert grid_verdicts(pg.piecewise_linear(DIP)) == (True, True, True)
+
+    def test_clamped_log_odds_passes_all(self):
+        # The clamp end is not a critical point: with it, rounding in
+        # 1 - (1 - eps) would push the symmetry error past the allowance.
+        report = pg.check_conditions(pg.log_odds(1e-6))
+        assert report.condorcet_ok and report.mixed_ok and report.smith_ok
 
 
 @pytest.mark.parametrize(
@@ -300,7 +328,7 @@ def test_unknown_kind_rejected():
 
 
 # Strictly increasing maps always give the first condition: every value at or
-# above 1/2 beats every value strictly below, with room against the margin.
+# above 1/2 beats every value strictly below.
 KNOT_VALUES = st.lists(st.floats(0.05, 1.0), min_size=3, max_size=6)
 
 
@@ -310,5 +338,57 @@ def test_increasing_piecewise_linear_passes_condorcet(increments, start):
     knots_t = np.linspace(0.0, 1.0, len(increments) + 1)
     values = start + np.concatenate([[0.0], np.cumsum(increments)])
     spec = pg.piecewise_linear(list(zip(knots_t, values)))
-    report = pg.check_conditions(spec, grid_resolution=2001)
+    report = pg.check_conditions(spec)
     assert report.condorcet_ok
+
+
+@st.composite
+def tables(draw, knot, gap):
+    """A ``piecewise_linear`` table on [0, 1] with knots drawn by ``knot``.
+
+    A knot at 1/2 makes f(1/2) a table value rather than a rounded
+    interpolation.  Knots closer than ``gap`` to one kept before, to 1/2 or
+    to 1 are dropped.  Values start anywhere in [-1/2, 1/2] and move in
+    quarter steps, mostly upward, so every verdict turns up.  Half the
+    tables are point symmetric: knots and values above 1/2 mirror those
+    below, so that f(t) + f(1-t) = 2 f(1/2).
+    """
+    mirror = draw(st.booleans())
+    end = 0.5 if mirror else 1.0
+    ts = [0.0]
+    for t in sorted(draw(st.sets(knot, max_size=6))):
+        if ts[-1] + gap <= t <= end - gap and abs(t - 0.5) >= gap:
+            ts.append(t)
+    ts = sorted(ts + [0.5] + ([] if mirror else [1.0]))
+    steps = draw(st.lists(st.integers(-1, 2), min_size=len(ts) - 1, max_size=len(ts) - 1))
+    values = (draw(st.integers(-2, 2)) + np.concatenate([[0], np.cumsum(steps)])) / 4.0
+    points = list(zip(ts, values))
+    if mirror:
+        points += [(1.0 - t, 2.0 * values[-1] - v) for t, v in reversed(points[:-1])]
+    return points
+
+
+@settings(deadline=None, max_examples=300)
+@given(points=tables(st.integers(1, 99).map(lambda i: i / 100), gap=0.005))
+def test_lattice_tables_agree_with_the_dense_grid(points):
+    # Every critical point is a grid point, and f is linear in between.
+    spec = pg.piecewise_linear(points)
+    report = pg.check_conditions(spec)
+    assert (report.condorcet_ok, report.mixed_ok, report.smith_ok) == grid_verdicts(spec)
+
+
+# Knots anywhere, at least 1.5e-4 apart: slopes stay under about 3,500, so
+# the grid's own rounding of 1 - t moves its sums by less than its margin.
+# The clamps are fixed: a tiny one puts f(0) a hair under f(1/2), which
+# passes the exact strict test and fails the grid's margin.
+@settings(deadline=None, max_examples=300)
+@given(
+    points=tables(st.floats(0.0, 1.0), gap=1.5e-4),
+    clamp=st.sampled_from([0.0, 1e-3, 0.05, 0.1234567, 0.3]),
+)
+def test_a_dense_grid_violation_is_always_found(points, clamp):
+    spec = pg.piecewise_linear(points, clamp_epsilon=clamp)
+    report = pg.check_conditions(spec)
+    exact = (report.condorcet_ok, report.mixed_ok, report.smith_ok)
+    for sampled, decided in zip(grid_verdicts(spec), exact):
+        assert sampled or not decided

@@ -320,6 +320,15 @@ class TestSharedPhaseOne:
         with pytest.raises(pg.SolverError, match="shape mismatch"):
             solve_standard_lp([1.0], a, b)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["c", "a", "b"])
+    def test_non_finite_input_raises(self, where, bad):
+        # Unchecked, an inf in A gives a false optimum x = [0, 0].
+        c, a, b = np.ones(2), np.ones((1, 2)), np.ones(1)
+        {"c": c, "a": a, "b": b}[where].flat[0] = bad
+        with pytest.raises(pg.SolverError, match="must be finite"):
+            solve_standard_lp(c, a, b)
+
     def test_floor_above_value_reports_empty_polytope(self):
         pay = rps_game()
         nash = pg.solve_maximin(pay)
