@@ -7,9 +7,9 @@ entering and leaving), which rules out cycling, so the iteration cap is a
 backstop against bugs rather than a tuning knob.
 
 Problem sizes here are tiny (tens of variables), so everything is dense.
-Phase 1 depends only on A and b, so ``solve_standard_lps`` runs it once
-for a batch of objectives over the same constraints and starts each
-phase 2 from a copy of the feasible tableau.
+Every feasible x has c.x = optimum + sum d_j x_j over the final reduced
+costs d_j >= 0, so the optimal set is the feasible set with x_j = 0 where
+d_j > 0, and the final basis is feasible on it (Goldman & Tucker 1956).
 
 Each phase works on one ``(m + 1) x (columns + 1)`` array: the m
 constraint rows of the tableau with the right-hand side as the last
@@ -49,7 +49,6 @@ class LPResult:
     x: np.ndarray
     objective: float
     iterations: int
-    phase_one_iterations: int
 
 
 def _pivot(work: np.ndarray, buf: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -147,7 +146,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
 def _phase_two(c: np.ndarray, work: np.ndarray, basis: np.ndarray, iterations: int) -> LPResult:
     """Minimize c.x from a feasible work array; ``work`` and ``basis`` are modified in place.
 
-    ``iterations`` is the phase-1 pivot count, which the cap also covers.
+    ``iterations`` counts the pivots made before, which the cap also covers.
     """
     n = c.shape[0]
     tableau = work[:-1]
@@ -156,46 +155,63 @@ def _phase_two(c: np.ndarray, work: np.ndarray, basis: np.ndarray, iterations: i
     work[-1, -1] = -(cost_basis @ tableau[:, -1])
     total, status = _iterate(work, np.empty_like(work), basis, n, iterations)
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, np.zeros(n), float("nan"), total, phase_one_iterations=iterations)
+        return LPResult(UNBOUNDED, np.zeros(n), float("nan"), total)
 
     x = np.zeros(n)
     x[basis] = tableau[:, -1]
-    return LPResult(OPTIMAL, x, float(c @ x), total, phase_one_iterations=iterations)
+    return LPResult(OPTIMAL, x, float(c @ x), total)
 
 
-def solve_standard_lps(cs, a_eq, b_eq) -> list[LPResult]:
-    """Solve min c.x with A x = b, x >= 0 for every objective c in ``cs``.
-
-    Phase 1 depends only on A and b, so it runs once; each objective's
-    phase 2 starts from its own copy of the feasible tableau.  Every result
-    is bit-identical to solving that objective alone.  Each ``LPResult``
-    has status ``optimal``, ``infeasible`` (phase-1 artificial mass above
-    ``FEAS_TOL``, then every result is infeasible) or ``unbounded``; on
-    non-optimal statuses ``x`` and ``objective`` are not meaningful.
-    ``iterations`` counts the shared phase-1 pivots, given alone in
-    ``phase_one_iterations``, plus that objective's phase-2 pivots.
-    """
-    cs = [np.asarray(c, dtype=float) for c in cs]
+def _solve(c, a_eq, b_eq):
+    """``solve_standard_lp`` that also returns the final work array and basis, None if infeasible."""
+    c = np.asarray(c, dtype=float)
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or any(c.ndim != 1 for c in cs):
+    if a.ndim != 2 or b.ndim != 1 or c.ndim != 1:
         raise SolverError("LP inputs must be (vector, matrix, vector)")
     m, n = a.shape
-    if b.shape[0] != m or any(c.shape[0] != n for c in cs):
-        shapes = ", ".join(str(c.shape) for c in cs)
-        raise SolverError(f"LP shape mismatch: A is {a.shape}, b is {b.shape}, c is {shapes}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and all(np.isfinite(c).all() for c in cs)):
+    if b.shape[0] != m or c.shape[0] != n:
+        raise SolverError(f"LP shape mismatch: A is {a.shape}, b is {b.shape}, c is {c.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise SolverError("LP inputs must be finite")
 
     work, basis, iterations = _phase_one(a, b)
     if work is None:
-        return [
-            LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations, phase_one_iterations=iterations)
-            for _ in cs
-        ]
-    return [_phase_two(c, work.copy(), basis.copy(), iterations) for c in cs]
+        return LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations), None, None
+    return _phase_two(c, work, basis, iterations), work, basis
 
 
 def solve_standard_lp(c, a_eq, b_eq) -> LPResult:
-    """Solve min c.x with A x = b, x >= 0; see ``solve_standard_lps``."""
-    return solve_standard_lps([c], a_eq, b_eq)[0]
+    """Solve min c.x with A x = b, x >= 0.
+
+    The status is ``optimal``, ``infeasible`` (phase-1 artificial mass above
+    ``FEAS_TOL``) or ``unbounded``, where ``x`` and ``objective`` mean nothing.
+    """
+    return _solve(c, a_eq, b_eq)[0]
+
+
+def optimal_face_ranges(c, a_eq, b_eq, k: int, face_tol):
+    """Solve min c.x with A x = b, x >= 0, then bound x_0 .. x_{k-1} over its optimal face.
+
+    Nonbasic columns with a final reduced cost above ``face_tol`` (one
+    number, or one per column) are fixed at zero, and each coordinate is
+    minimized and maximized by phase 2 from the final basis.  Returns
+    ``(result, ranges, face_columns, range_pivots)`` with ``ranges[i] =
+    [min, max]`` (inf for an unbounded maximum).  Raises ``SolverError``
+    unless the LP has an optimum.
+    """
+    result, work, basis = _solve(c, a_eq, b_eq)
+    if result.status != OPTIMAL:
+        raise SolverError(f"LP ended with status {result.status}; it has no optimal face")
+    kept = work[-1, : result.x.size] <= face_tol
+    face = work[:, np.r_[kept, True]]
+    position = np.cumsum(kept) - 1
+    unit = np.eye(int(kept.sum()))
+    ranges = np.zeros((k, 2))
+    range_pivots = 0
+    for i in np.flatnonzero(kept[:k]):
+        for side, sign in enumerate((1.0, -1.0)):
+            bound = _phase_two(sign * unit[position[i]], face.copy(), position[basis], 0)
+            range_pivots += bound.iterations
+            ranges[i, side] = bound.x[position[i]] if bound.status == OPTIMAL else -sign * np.inf
+    return result, ranges, len(unit), range_pivots

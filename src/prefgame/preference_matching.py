@@ -29,7 +29,7 @@ from .core import (
     make_policy,
     validate_preferences,
 )
-from .solver import DEFAULT_VERIFY_TOL, NashReport, SolverError, solve_maximin
+from .solver import DEFAULT_VERIFY_TOL, NashReport, SolverError, _span, solve_maximin
 
 logger = logging.getLogger(__name__)
 
@@ -210,7 +210,10 @@ def kkt_verify(
     The certificate value is pinned at the maximum column payoff under the
     target, which complementary slackness forces; the column weights are
     then restricted to tight columns and the remaining equalization system
-    is solved as a pure feasibility LP.
+    is solved as a pure feasibility LP.  ``tolerance`` is relative to the
+    payoff span, and the system is solved on the payoff mapped to [0, 1]
+    (the same weights solve it), so the verdict does not change under
+    a positive affine map of the payoff.
     """
     if target.n != payoff.n:
         raise ValidationError(
@@ -222,13 +225,15 @@ def kkt_verify(
     column_payoffs = w @ a
     t = float(np.max(column_payoffs))
     column_slacks = column_payoffs - t
-    tight = np.flatnonzero(column_slacks >= -tolerance)
+    low, span = a.min(), _span(a)
+    tol = tolerance * span
+    tight = np.flatnonzero(column_slacks >= -tol)
     k = tight.size
 
     a_eq = np.zeros((n + 1, k))
-    a_eq[:n, :] = a[:, tight]
+    a_eq[:n, :] = (a[:, tight] - low) / span
     a_eq[n, :] = 1.0
-    b_eq = np.concatenate([np.full(n, t), [1.0]])
+    b_eq = np.concatenate([np.full(n, (t - low) / span), [1.0]])
     result = solve_standard_lp(np.zeros(k), a_eq, b_eq)
     if result.status == INFEASIBLE:
         logger.debug("kkt infeasible: n=%d t=%.12g tight=%d", n, t, k)
@@ -248,7 +253,7 @@ def kkt_verify(
     row_payoffs = a @ u
     row_residual = float(np.max(np.abs(row_payoffs - t)))
     complementarity = float(np.max(np.abs(u * column_slacks)))
-    feasible = row_residual <= tolerance and complementarity <= tolerance
+    feasible = row_residual <= tol and complementarity <= tol
     return KKTCertificate(
         u=Policy(n=n, w=_as_readonly(u)),
         t=t,

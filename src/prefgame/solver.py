@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import INFEASIBLE, OPTIMAL, solve_standard_lp, solve_standard_lps
+from ._simplex import OPTIMAL, optimal_face_ranges, solve_standard_lp
 from .core import (
     SUPPORT_THRESHOLD,
     PayoffMatrix,
@@ -31,11 +31,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SOLVER_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-8
-# Slack used when carving out the optimal-strategy polytope.  It only needs
-# to absorb float error in the reported value; anything looser inflates the
-# coordinate ranges by the polytope's condition number and falsely reports
-# non-uniqueness.
-POLYTOPE_SLACK = 1e-11
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,8 @@ class UniquenessReport:
     """Optimal-polytope geometry around a solved game.
 
     ``coordinate_ranges[i]`` is the [min, max] of the i-th strategy weight
-    over all optimal row strategies; ``unique`` means every range has width
-    at most ``DEFAULT_VERIFY_TOL``.
+    over the row LP's optimal face, all optimal row strategies; ``unique``
+    means every range has width at most ``DEFAULT_VERIFY_TOL``.
     """
 
     unique: bool
@@ -97,11 +92,16 @@ def _clean_policy(w: np.ndarray) -> Policy:
     return Policy(n=int(w.size), w=_as_readonly(w / total))
 
 
-def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Best guaranteed value for the row player of payoff array ``a``.
+def _span(a: np.ndarray) -> float:
+    """The payoff's range of entries, or 1 for a constant payoff."""
+    return float(a.max() - a.min()) or 1.0
+
+
+def _maximin_program(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row player's LP on payoff array ``a`` as ``(c, a_eq, b_eq)``.
 
     Standard-form variables: strategy weights, the split epigraph value,
-    and one surplus per column constraint.
+    and one surplus per column constraint; the optimum is minus the value.
     """
     n, m = a.shape
     nv = n + 2 + m
@@ -118,11 +118,16 @@ def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     c = np.zeros(nv)
     c[n] = -1.0
     c[n + 1] = 1.0
-    result = solve_standard_lp(c, a_eq, b_eq)
+    return c, a_eq, b_eq
+
+
+def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Best guaranteed value for the row player of payoff array ``a``."""
+    result = solve_standard_lp(*_maximin_program(a))
     if result.status != OPTIMAL:
         raise SolverError(f"maximin LP ended with status {result.status}")
     value = -result.objective + 0.0  # avoid reporting negative zero
-    return result.x[:n], value, result.iterations
+    return result.x[: a.shape[0]], value, result.iterations
 
 
 def solve_maximin(payoff: PayoffMatrix, tolerance: float = DEFAULT_SOLVER_TOL) -> NashReport:
@@ -185,46 +190,36 @@ def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
 def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessReport:
     """Measure the optimal-strategy polytope around a solved game.
 
-    For each coordinate, two auxiliary LPs find its min and max over all
-    strategies guaranteeing the game value.  All 2n LPs share their
-    constraints, so they share one phase 1.  ``unique`` holds when every
-    coordinate is pinned to width at most ``DEFAULT_VERIFY_TOL``; the
-    dual-support flag records whether every column weight of the opponent's
-    strategy is active, the full-support condition tied to uniqueness.
+    Each strategy weight is bounded over the row LP's optimal face, taken
+    on the payoff as given with ``DEFAULT_SOLVER_TOL`` (times the payoff
+    span where in payoff units) as the reduced-cost tolerance.  ``unique``
+    holds when every coordinate is pinned to width at most
+    ``DEFAULT_VERIFY_TOL``; the dual-support flag records whether every
+    column weight of the opponent's strategy is active, the full-support
+    condition tied to uniqueness.
     """
     a = payoff.a
     n = payoff.n
+    if nash.row_strategy.n != n or nash.col_strategy.n != n:
+        raise ValidationError(
+            f"dimension mismatch: payoff n={n}, report n={nash.row_strategy.n} and n={nash.col_strategy.n}"
+        )
     w = nash.row_strategy.w
     column_slacks = w @ a - nash.value
     dual_support_full = bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD))
-    floor = nash.value - POLYTOPE_SLACK
-    # Variables: strategy weights, then one surplus per column constraint.
-    a_eq = np.zeros((n + 1, 2 * n))
-    a_eq[:n, :n] = a.T
-    a_eq[:n, n:] = -np.eye(n)
-    a_eq[n, :n] = 1.0
-    b_eq = np.concatenate([np.full(n, floor), [1.0]])
-    # Objective 2i minimizes coordinate i, objective 2i + 1 maximizes it.
-    objectives = np.zeros((2 * n, 2 * n))
-    index = np.arange(n)
-    objectives[2 * index, index] = 1.0
-    objectives[2 * index + 1, index] = -1.0
-    results = solve_standard_lps(objectives, a_eq, b_eq)
-    for result in results:
-        if result.status == INFEASIBLE:
-            raise SolverError(
-                "optimal-strategy polytope is empty; the report and payoff disagree"
-            )
-        if result.status != OPTIMAL:
-            raise SolverError(f"coordinate-range LP ended with status {result.status}")
-    ranges = np.array([result.x[k // 2] for k, result in enumerate(results)]).reshape(n, 2)
-    phase_one = results[0].phase_one_iterations
+    span = _span(a)
+    # The strategy columns' reduced costs are in payoff units; those of the
+    # epigraph and surplus columns are column-strategy weights.
+    face_tol = DEFAULT_SOLVER_TOL * np.r_[np.full(n, span), np.ones(n + 2)]
+    result, ranges, face_columns, range_pivots = optimal_face_ranges(*_maximin_program(a), n, face_tol)
+    if abs(-result.objective - nash.value) > DEFAULT_VERIFY_TOL * span:
+        raise SolverError(f"the payoff's value {-result.objective} is not the report's {nash.value}")
     logger.debug(
-        "uniqueness probed: n=%d lps=%d phase1_iterations=%d phase2_iterations=%d",
+        "uniqueness probed: n=%d face_columns=%d pivots=%d range_pivots=%d",
         n,
-        len(results),
-        phase_one,
-        sum(result.iterations - phase_one for result in results),
+        face_columns,
+        result.iterations,
+        range_pivots,
     )
     widths = ranges[:, 1] - ranges[:, 0]
     unique = bool(np.all(widths <= DEFAULT_VERIFY_TOL))

@@ -87,23 +87,19 @@ def _phase_two(c, tableau, basis, iterations):
     red = np.concatenate([c - cost_basis @ tableau[:, :n], [-(cost_basis @ tableau[:, -1])]])
     total, status = _iterate(tableau, red, basis, n, iterations)
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, np.zeros(n), float("nan"), total, phase_one_iterations=iterations)
+        return LPResult(UNBOUNDED, np.zeros(n), float("nan"), total)
 
     x = np.zeros(n)
     x[basis] = tableau[:, -1]
-    return LPResult(OPTIMAL, x, float(c @ x), total, phase_one_iterations=iterations)
+    return LPResult(OPTIMAL, x, float(c @ x), total)
 
 
-def solve_standard_lps(cs, a_eq, b_eq):
-    """Reference for ``prefgame._simplex.solve_standard_lps`` on well-formed inputs."""
-    cs = [np.asarray(c, dtype=float) for c in cs]
+def solve_standard_lp(c, a_eq, b_eq):
+    """Reference for ``prefgame._simplex.solve_standard_lp`` on well-formed inputs."""
+    c = np.asarray(c, dtype=float)
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
-    n = a.shape[1]
     tableau, basis, iterations = _phase_one(a, b)
     if tableau is None:
-        return [
-            LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations, phase_one_iterations=iterations)
-            for _ in cs
-        ]
-    return [_phase_two(c, tableau.copy(), basis.copy(), iterations) for c in cs]
+        return LPResult(INFEASIBLE, np.zeros(a.shape[1]), float("nan"), iterations)
+    return _phase_two(c, tableau, basis, iterations)

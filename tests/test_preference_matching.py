@@ -131,6 +131,22 @@ class TestKKT:
         with pytest.raises(pg.ValidationError):
             pg.kkt_verify(pay, pg.Policy.delta(1, 3))
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6, 1e9])
+    def test_verdict_survives_affine_scaling(self, scale):
+        # btl_family never matches a full-support BTL target, construction_one
+        # always does; an absolute tolerance certified 19 of the former at
+        # 1e-9 and none of the latter at 1e9.
+        certified = {"btl_family": 0, "construction_one": 0}
+        for seed in range(50):
+            target = pg.pm_policy(pg.make_btl(np.random.default_rng(seed).normal(0.0, 1.0, size=8)))
+            for name, pay in (
+                ("btl_family", pg.ratio_payoff(pg.btl_family(), target)),
+                ("construction_one", pg.construction_one(target)),
+            ):
+                scaled = pg.make_payoff(scale * pay.a + 0.5 * scale)
+                certified[name] += pg.kkt_verify(scaled, target).feasible
+        assert certified == {"btl_family": 0, "construction_one": 50}
+
     def test_dict_shape(self):
         pay = pg.make_payoff([[0.0, 1.0], [1.0, 0.0]])
         d = pg.kkt_verify(pay, pg.make_policy([0.5, 0.5])).to_dict()

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
 import reference_simplex
-from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lps
+from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp
+from prefgame.solver import _maximin_program
 
 # Small integers make degenerate and tied pivots common; bounded floats keep
 # every tableau finite.
@@ -16,44 +17,28 @@ ENTRY = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
 NONNEGATIVE = st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 3.0))
 
 
-def _solve(solve, cs, a, b):
+def _solve(solve, c, a, b):
     try:
-        return solve(cs, a, b)
+        return solve(c, a, b)
     except pg.SolverError as exc:
         return str(exc)
 
 
 def assert_same(cs, a, b):
-    """Both loops give the same results, or fail with the same message."""
-    got = _solve(solve_standard_lps, cs, a, b)
-    want = _solve(reference_simplex.solve_standard_lps, cs, a, b)
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-        return got
-    for g, w in zip(got, want, strict=True):
-        assert g.status == w.status
-        assert g.x.tobytes() == w.x.tobytes()
-        assert np.float64(g.objective).tobytes() == np.float64(w.objective).tobytes()
-        assert g.iterations == w.iterations
-        assert g.phase_one_iterations == w.phase_one_iterations
-    return got
-
-
-def maximin_lp(game: np.ndarray):
-    """Objective, constraints and right-hand side of the solver's maximin LP."""
-    n, m = game.shape
-    a_eq = np.zeros((m + 1, n + 2 + m))
-    a_eq[:m, :n] = game.T
-    a_eq[:m, n] = -1.0
-    a_eq[:m, n + 1] = 1.0
-    a_eq[np.arange(m), n + 2 + np.arange(m)] = -1.0
-    a_eq[m, :n] = 1.0
-    b_eq = np.zeros(m + 1)
-    b_eq[m] = 1.0
-    c = np.zeros(n + 2 + m)
-    c[n] = -1.0
-    c[n + 1] = 1.0
-    return c, a_eq, b_eq
+    """Both loops give the same result for each objective, or fail with the same message."""
+    results = []
+    for c in cs:
+        got = _solve(solve_standard_lp, c, a, b)
+        want = _solve(reference_simplex.solve_standard_lp, c, a, b)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return got
+        assert got.status == want.status
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        assert got.iterations == want.iterations
+        results.append(got)
+    return results
 
 
 @st.composite
@@ -94,7 +79,7 @@ def test_degenerate_maximin_lps(data):
     rows = data.draw(st.integers(1, 6))
     cols = data.draw(st.integers(1, 6))
     game = data.draw(arrays(np.float64, (rows, cols), elements=st.integers(-2, 2).map(float)))
-    c, a, b = maximin_lp(game)
+    c, a, b = _maximin_program(game)
     assert_same([c, *data.draw(objectives(c.size))], a, b)
 
 
@@ -125,7 +110,8 @@ def test_infeasible_lps(data):
 
 
 def test_every_status_in_one_sweep():
-    # The kinds of LP above do reach every status, including mixed batches.
+    # The kinds of LP above do reach every status, including different
+    # statuses for objectives over the same constraints.
     rng = np.random.default_rng(9)
     statuses, mixed = set(), 0
     for _ in range(300):
@@ -133,9 +119,9 @@ def test_every_status_in_one_sweep():
         a = rng.integers(-3, 4, size=(m, n)).astype(float)
         b = a @ rng.integers(0, 3, size=n) if rng.random() < 0.7 else rng.integers(-3, 4, size=m).astype(float)
         cs = list(rng.integers(-3, 4, size=(3, n)).astype(float))
-        batch = {r.status for r in assert_same(cs, a, b)}
-        statuses |= batch
-        mixed += len(batch) > 1
+        found = {r.status for r in assert_same(cs, a, b)}
+        statuses |= found
+        mixed += len(found) > 1
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert mixed > 0
 
@@ -164,5 +150,5 @@ def test_named_round_off_failures_keep_their_messages(kind, n, seed, message):
         pg.solve_maximin(payoff)
     assert str(info.value) == message
     for side in (payoff.a, -payoff.a.T):
-        c, a, b = maximin_lp(side)
+        c, a, b = _maximin_program(side)
         assert_same([c], a, b)

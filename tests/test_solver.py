@@ -9,7 +9,7 @@ import pytest
 
 import prefgame as pg
 from prefgame import solver
-from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp, solve_standard_lps
+from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, optimal_face_ranges, solve_standard_lp
 from support_enumeration import enumerate_equilibria
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
@@ -220,16 +220,63 @@ class TestUniqueness:
             assert lo == pytest.approx(0.5, abs=1e-8)
             assert hi == pytest.approx(0.5, abs=1e-8)
 
+    def test_duplicated_rps_ranges_are_exact(self):
+        # Rock-paper-scissors with the last row and column duplicated: the
+        # duplicate pair splits a third between them in every proportion.
+        pay = pg.make_payoff([[0, 1, -1, -1], [-1, 0, 1, 1], [1, -1, 0, 0], [1, -1, 0, 0]])
+        report = pg.uniqueness_report(pay, pg.solve_maximin(pay))
+        assert not report.unique
+        third = 1.0 / 3.0
+        expected = [[third, third], [third, third], [0.0, third], [0.0, third]]
+        np.testing.assert_allclose(report.coordinate_ranges, expected, rtol=0.0, atol=1e-12)
+
+    def test_report_of_the_wrong_size_raises(self):
+        nash = pg.solve_maximin(pg.make_payoff(np.eye(4)))
+        with pytest.raises(pg.ValidationError, match="payoff n=3, report n=4 and n=4"):
+            pg.uniqueness_report(rps_game(), nash)
+
+    def test_face_tolerance_is_unit_free_on_surplus_columns(self):
+        # The span here is 1.4e9.  A surplus column's reduced cost is a column
+        # weight, at most 1, so a tolerance of 1e-9 times the span would keep
+        # every surplus column and leave the whole simplex as the face.
+        w = pg.pm_policy(pg.make_btl(np.random.default_rng(28).normal(0.0, 1.0, size=8))).w
+        pay = pg.make_payoff(1e9 * pg.construction_one(pg.make_policy(w)).a)
+        report = pg.uniqueness_report(pay, pg.solve_maximin(pay))
+        assert report.unique
+        np.testing.assert_allclose(report.coordinate_ranges, np.column_stack([w, w]), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "stream, sizes, count",
+        [(1_605_627, (4, 7, 10, 13, 16), 20), (555, (4, 10, 16), 100)],
+    )
+    def test_construction_one_targets_are_unique(self, stream, sizes, count):
+        # construction_one's optimum is the target alone.  The second stream
+        # holds [555, 16, 7], whose smallest weight is 5.7e-4.
+        for n in sizes:
+            for k in range(count):
+                rng = np.random.default_rng(np.random.SeedSequence([stream, n, k]))
+                w = pg.pm_policy(pg.make_btl(rng.normal(0.0, 1.0, size=n))).w
+                pay = pg.construction_one(pg.make_policy(w))
+                report = pg.uniqueness_report(pay, pg.solve_maximin(pay))
+                assert report.unique, (stream, n, k)
+                np.testing.assert_allclose(report.coordinate_ranges, np.column_stack([w, w]), rtol=0.0, atol=1e-12)
+
+
+# The reference's floor sits this far below the value, to absorb float error
+# in it; the slack inflates its ranges by the polytope's condition number.
+REFERENCE_SLACK = 1e-11
+
 
 def reference_ranges(payoff, nash):
-    """Coordinate ranges from two separate LPs per coordinate, each with its own phase 1."""
+    """Coordinate ranges from two separate LPs per coordinate over the polytope
+    of strategies guaranteeing ``REFERENCE_SLACK`` below the value."""
     a = payoff.a
     n = payoff.n
     a_eq = np.zeros((n + 1, 2 * n))
     a_eq[:n, :n] = a.T
     a_eq[:n, n:] = -np.eye(n)
     a_eq[n, :n] = 1.0
-    b_eq = np.concatenate([np.full(n, nash.value - pg.solver.POLYTOPE_SLACK), [1.0]])
+    b_eq = np.concatenate([np.full(n, nash.value - REFERENCE_SLACK), [1.0]])
     ranges = np.zeros((n, 2))
     for i in range(n):
         for side, sign in enumerate((1.0, -1.0)):
@@ -270,13 +317,17 @@ SHARED_PHASE_ONE_GAMES = {
 
 
 class TestSharedPhaseOne:
+    """Coordinate ranges on the row LP's optimal face against per-coordinate
+    LPs, and the LP entry points' input checks.  The class keeps the name of
+    the batch API it was written for, so its test IDs stay put."""
+
     @pytest.mark.parametrize("name", sorted(SHARED_PHASE_ONE_GAMES))
     def test_matches_separate_lps_bit_for_bit(self, name):
         pay = SHARED_PHASE_ONE_GAMES[name]()
         nash = pg.solve_maximin(pay)
         report = pg.uniqueness_report(pay, nash)
         expected = reference_ranges(pay, nash)
-        assert report.coordinate_ranges.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(report.coordinate_ranges, expected, rtol=0.0, atol=1e-8)
         assert report.unique == bool(np.all(expected[:, 1] - expected[:, 0] <= 1e-8))
 
     def test_reference_covers_unique_and_non_unique_games(self):
@@ -287,36 +338,38 @@ class TestSharedPhaseOne:
         assert flags["rps"] and flags["btl16"] and flags["random5"]
         assert not flags["constant4"] and not flags["duplicated_row6"] and not flags["integer6"]
 
-    def test_each_objective_matches_a_lone_solve(self):
-        c = np.array([[-1.0, -2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 1.0]])
-        a = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        b = np.array([4.0, 3.0])
-        shared = solve_standard_lps(c, a, b)
-        for row, result in zip(c, shared):
-            alone = solve_standard_lp(row, a, b)
-            assert result.status == alone.status == OPTIMAL
-            assert result.x.tobytes() == alone.x.tobytes()
-            assert result.iterations == alone.iterations
-            assert result.phase_one_iterations == shared[0].phase_one_iterations
+    def test_face_fixes_columns_with_positive_reduced_cost(self):
+        # min x0 + x1 s.t. x0 + x1 + x2 = 1: the face is x2 = 1 alone.
+        result, ranges, face_columns, _ = optimal_face_ranges(
+            [1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], 3, 1e-9
+        )
+        assert result.status == OPTIMAL and face_columns == 1
+        np.testing.assert_array_equal(ranges, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
-    def test_mixed_statuses(self):
-        # The second objective is unbounded below along x0 = x1; the first is not.
-        a = np.array([[1.0, -1.0]])
-        b = np.array([0.0])
-        results = solve_standard_lps([[1.0, 0.0], [-1.0, 0.0]], a, b)
-        assert [r.status for r in results] == [OPTIMAL, UNBOUNDED]
+    def test_face_keeps_columns_with_zero_reduced_cost(self):
+        # min x2 s.t. x0 + x1 + x2 = 1: every point with x2 = 0 is optimal.
+        _, ranges, face_columns, range_pivots = optimal_face_ranges(
+            [0.0, 0.0, 1.0], [[1.0, 1.0, 1.0]], [1.0], 2, 1e-9
+        )
+        assert face_columns == 2 and range_pivots > 0
+        np.testing.assert_array_equal(ranges, [[0.0, 1.0], [0.0, 1.0]])
 
-    def test_infeasible_for_every_objective(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        b = np.array([1.0, 2.0])
-        results = solve_standard_lps([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]], a, b)
-        assert [r.status for r in results] == [INFEASIBLE] * 3
+    def test_face_range_can_be_unbounded(self):
+        # min 0 s.t. x0 - x1 = 0: x0 runs up without bound.
+        _, ranges, _, _ = optimal_face_ranges([0.0, 0.0], [[1.0, -1.0]], [0.0], 1, 1e-9)
+        np.testing.assert_array_equal(ranges, [[0.0, np.inf]])
+
+    @pytest.mark.parametrize(
+        "c, a, b, status",
+        [([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], INFEASIBLE), ([-1.0, 0.0], [[1.0, -1.0]], [0.0], UNBOUNDED)],
+    )
+    def test_face_needs_an_optimum(self, c, a, b, status):
+        with pytest.raises(pg.SolverError, match=f"ended with status {status}"):
+            optimal_face_ranges(c, a, b, 1, 1e-9)
 
     def test_wrong_objective_length_raises(self):
         a = np.array([[1.0, 1.0]])
         b = np.array([1.0])
-        with pytest.raises(pg.SolverError, match="shape mismatch"):
-            solve_standard_lps([[1.0, 0.0], [1.0, 0.0, 0.0]], a, b)
         with pytest.raises(pg.SolverError, match="shape mismatch"):
             solve_standard_lp([1.0], a, b)
 
@@ -333,18 +386,18 @@ class TestSharedPhaseOne:
         pay = rps_game()
         nash = pg.solve_maximin(pay)
         raised = dataclasses.replace(nash, value=nash.value + 0.1)
-        with pytest.raises(pg.SolverError, match="optimal-strategy polytope is empty"):
+        with pytest.raises(pg.SolverError, match="the payoff's value .* is not the report's"):
             pg.uniqueness_report(pay, raised)
 
-    def test_debug_line_reports_the_sharing(self, caplog):
+    def test_debug_line_reports_the_face(self, caplog):
         pay = rps_game()
         nash = pg.solve_maximin(pay)
         with caplog.at_level(logging.DEBUG, logger="prefgame.solver"):
             pg.uniqueness_report(pay, nash)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uniqueness probed")]
         assert len(lines) == 1
-        assert lines[0].startswith("uniqueness probed: n=3 lps=6 phase1_iterations=")
-
+        assert lines[0].startswith("uniqueness probed: n=3 face_columns=")
+        assert " pivots=" in lines[0] and " range_pivots=" in lines[0]
 
 
 def two_lp_reference(payoff):
