@@ -41,7 +41,7 @@ from .preference_matching import (
     RatioPayoffSpec,
 )
 from .social_choice import consistency_verdict, smith_decomposition
-from .solver import DEFAULT_SOLVER_TOL, DEFAULT_VERIFY_TOL, solve_maximin
+from .solver import solve_maximin
 from . import __version__
 
 EXIT_OK = 0
@@ -64,10 +64,11 @@ def _load_json(path: str) -> dict:
 def _check_declared_n(path: str, data: dict, n: int) -> None:
     if "n" not in data:
         return
-    try:
-        declared = int(data["n"])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: declared n={data['n']!r} is not an integer") from None
+    declared = data["n"]
+    # A JSON true is an int to Python; neither it nor 3.7 declares a size.
+    integral = isinstance(declared, float) and declared.is_integer()
+    if isinstance(declared, bool) or not (isinstance(declared, int) or integral):
+        raise ValidationError(f"{path}: declared n={declared!r} is not an integer")
     if declared != n:
         raise ValidationError(f"{path}: declared n={data['n']} but matrix is {n}x{n}")
 
@@ -162,7 +163,7 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     pref = load_preferences(args.pref)
     mapping = load_mapping(args.psi)
-    nash = solve_maximin(apply_mapping(pref, mapping), tolerance=args.tol)
+    nash = solve_maximin(apply_mapping(pref, mapping))
     emit(nash.to_dict(), args)
     return EXIT_OK
 
@@ -215,7 +216,7 @@ def _cmd_btl(args) -> int:
 def _cmd_kkt(args) -> int:
     payoff = load_payoff(args.payoff)
     target = load_policy(args.target)
-    certificate = kkt_verify(payoff, target, tolerance=args.tol)
+    certificate = kkt_verify(payoff, target)
     emit(certificate.to_dict(), args)
     return EXIT_OK if certificate.feasible else EXIT_VIOLATION
 
@@ -234,7 +235,7 @@ def _ratio_spec_from_args(args, target_n: int) -> RatioPayoffSpec:
 def _cmd_pm_probe(args) -> int:
     target = load_policy(args.target)
     spec = _ratio_spec_from_args(args, target.n)
-    probe = pm_gap(spec, target, tolerance=args.tol)
+    probe = pm_gap(spec, target)
     emit(probe.to_dict(), args)
     return EXIT_OK
 
@@ -299,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[output], help="solve the mapped game")
     p.add_argument("--pref", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_SOLVER_TOL)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("decompose", parents=[output], help="ordered dominance decomposition")
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kkt", parents=[output], help="certify a target as maximin solution")
     p.add_argument("--payoff", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p.set_defaults(handler=_cmd_kkt)
 
     p = sub.add_parser("pm-probe", parents=[output], help="probe a ratio family against a target")
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--c2", type=float, default=None)
     p.add_argument("--family-n", dest="family_n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p.set_defaults(handler=_cmd_pm_probe)
 
     p = sub.add_parser("gen", parents=[output], help="emit a preference matrix")

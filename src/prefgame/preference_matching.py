@@ -200,20 +200,16 @@ def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpe
     return RatioPayoffSpec(f=f, diagonal_c=c)
 
 
-def kkt_verify(
-    payoff: PayoffMatrix,
-    target: Policy,
-    tolerance: float = DEFAULT_VERIFY_TOL,
-) -> KKTCertificate:
+def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     """Check whether ``target`` is a maximin solution of ``payoff``.
 
     The certificate value is pinned at the maximum column payoff under the
     target, which complementary slackness forces; the column weights are
     then restricted to tight columns and the remaining equalization system
-    is solved as a pure feasibility LP.  ``tolerance`` is relative to the
-    payoff span, and the system is solved on the payoff mapped to [0, 1]
-    (the same weights solve it), so the verdict does not change under
-    a positive affine map of the payoff.
+    is solved as a pure feasibility LP.  ``DEFAULT_VERIFY_TOL`` is relative
+    to the payoff span, and the system is solved on the payoff mapped to
+    [0, 1] (the same weights solve it), so the verdict does not change
+    under a positive affine map of the payoff.
     """
     if target.n != payoff.n:
         raise ValidationError(
@@ -226,7 +222,7 @@ def kkt_verify(
     t = float(np.max(column_payoffs))
     column_slacks = column_payoffs - t
     low, span = a.min(), _span(a)
-    tol = tolerance * span
+    tol = DEFAULT_VERIFY_TOL * span
     tight = np.flatnonzero(column_slacks >= -tol)
     k = tight.size
 
@@ -252,8 +248,10 @@ def kkt_verify(
     u /= u.sum()
     row_payoffs = a @ u
     row_residual = float(np.max(np.abs(row_payoffs - t)))
+    # ``u`` lives on tight columns, whose slacks lie in [-tol, 0], and
+    # u <= 1, so complementarity holds by construction; it is reported only.
     complementarity = float(np.max(np.abs(u * column_slacks)))
-    feasible = row_residual <= tol and complementarity <= tol
+    feasible = row_residual <= tol
     return KKTCertificate(
         u=Policy(n=n, w=_as_readonly(u)),
         t=t,
@@ -263,11 +261,7 @@ def kkt_verify(
     )
 
 
-def pm_gap(
-    spec: RatioPayoffSpec,
-    target: Policy,
-    tolerance: float = DEFAULT_VERIFY_TOL,
-) -> ProbeReport:
+def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     """Solve the ratio family's game and measure the miss against the target.
 
     The gap is the total-variation distance between the solver's row
@@ -279,5 +273,5 @@ def pm_gap(
     payoff = ratio_payoff(spec, target)
     nash = solve_maximin(payoff)
     gap = 0.5 * float(np.abs(nash.row_strategy.w - target.w).sum())
-    certificate = kkt_verify(payoff, target, tolerance=tolerance)
+    certificate = kkt_verify(payoff, target)
     return ProbeReport(gap=gap, kkt=certificate, nash=nash)

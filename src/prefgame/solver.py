@@ -5,8 +5,8 @@ by introducing the guaranteed value as an epigraph variable; the column
 player's problem is the same program on the negated transpose.  When the
 game is skew-symmetric (A = -A^T, as under any symmetric mapping) that
 program is the row player's own, so it is solved once; otherwise both are
-solved and the report carries the (tiny) gap between the two optimal values
-as a self-check.
+solved.  Every reported pair is certified by its exploitability, the
+distance from mutual best response, relative to the payoff span.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .core import (
     SolverError,
     ValidationError,
     _as_readonly,
-    total_payoff,
 )
 
 logger = logging.getLogger(__name__)
@@ -39,16 +38,15 @@ class NashReport:
 
     ``row_strategy`` attains ``value`` as a guaranteed minimum over columns;
     ``col_strategy`` caps the row player at ``value`` from above.
-    ``duality_gap`` is the difference between the two sides' optimal
-    values.  For a skew-symmetric game both sides come from one solve, so
-    the gap is twice the distance of ``value`` from its exact value 0.
+    ``exploitability`` is ``best_response_gap`` of the two strategies, at
+    most ``DEFAULT_SOLVER_TOL`` times the payoff span.
     ``solver_iterations`` counts the simplex pivots of every LP solved.
     """
 
     row_strategy: Policy
     col_strategy: Policy
     value: float
-    duality_gap: float
+    exploitability: float
     solver_iterations: int
 
     def to_dict(self) -> dict:
@@ -56,7 +54,7 @@ class NashReport:
             "row_strategy": self.row_strategy.w.tolist(),
             "col_strategy": self.col_strategy.w.tolist(),
             "value": self.value,
-            "duality_gap": self.duality_gap,
+            "exploitability": self.exploitability,
             "solver_iterations": self.solver_iterations,
         }
 
@@ -130,43 +128,46 @@ def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     return result.x[: a.shape[0]], value, result.iterations
 
 
-def solve_maximin(payoff: PayoffMatrix, tolerance: float = DEFAULT_SOLVER_TOL) -> NashReport:
+def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     """Solve the zero-sum game with payoff matrix ``payoff``.
 
     The column player's LP runs on ``-a.T``.  When that array equals ``a``
     the game is skew-symmetric and the row player's solve is reused, so one
     LP runs instead of two and ``solver_iterations`` counts its pivots only.
-    Raises ``SolverError`` if the two sides' optimal values disagree by more
-    than ``tolerance``, which would indicate an engine bug rather than a
-    property of the input.
+    Raises ``SolverError`` if the reported pair's exploitability exceeds
+    ``DEFAULT_SOLVER_TOL`` times the payoff span: the LPs lost accuracy,
+    and the pair is not an equilibrium.
     """
     a = payoff.a
     neg_t = -a.T
-    row_w, row_value, iters_row = _maximin_lp(a)
+    row_w, value, iters_row = _maximin_lp(a)
     # array_equal counts the -0.0 on the diagonal of -a.T equal to a's 0.0; a
     # signed zero only changes signs of zeros in the LP, which the clipped
     # strategies and the "+ 0.0" value drop, so reuse is bit-identical.
     skew = np.array_equal(neg_t, a)
-    col_w, col_neg_value, iters_col = (row_w, row_value, 0) if skew else _maximin_lp(neg_t)
-    minimax_value = -col_neg_value
-    gap = abs(row_value - minimax_value)
-    if gap > tolerance:
+    col_w, _, iters_col = (row_w, value, 0) if skew else _maximin_lp(neg_t)
+    row, col = _clean_policy(row_w), _clean_policy(col_w)
+    exploitability = best_response_gap(payoff, row, col)
+    span = _span(a)
+    if exploitability > DEFAULT_SOLVER_TOL * span:
         raise SolverError(
-            f"duality gap {gap} exceeds tolerance {tolerance}; the LP engine is inconsistent"
+            f"exploitability {exploitability} exceeds {DEFAULT_SOLVER_TOL} x payoff span {span}; "
+            "the LP solve lost accuracy"
         )
     logger.debug(
-        "maximin solved: n=%d lps=%d value=%.12g gap=%.3g iterations=%d",
+        "maximin solved: n=%d lps=%d value=%.12g exploitability=%.3g span=%.3g iterations=%d",
         payoff.n,
         1 if skew else 2,
-        row_value,
-        gap,
+        value,
+        exploitability,
+        span,
         iters_row + iters_col,
     )
     return NashReport(
-        row_strategy=_clean_policy(row_w),
-        col_strategy=_clean_policy(col_w),
-        value=float(row_value),
-        duality_gap=float(gap),
+        row_strategy=row,
+        col_strategy=col,
+        value=float(value),
+        exploitability=exploitability,
         solver_iterations=iters_row + iters_col,
     )
 
@@ -174,17 +175,15 @@ def solve_maximin(payoff: PayoffMatrix, tolerance: float = DEFAULT_SOLVER_TOL) -
 def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
     """How far the pair (pi1, pi2) is from mutual best response.
 
-    Zero exactly at the game's equilibria; the sum of the row player's
-    regret against ``pi2`` and the column player's regret against ``pi1``.
+    Zero exactly at the game's equilibria: max(A pi2) - min(pi1 A), the sum
+    of the row player's regret against ``pi2`` and the column player's
+    regret against ``pi1``, in which the pair's own payoff cancels.
     """
     if pi1.n != payoff.n or pi2.n != payoff.n:
         raise ValidationError(
             f"dimension mismatch: payoff n={payoff.n}, policies n={pi1.n} and n={pi2.n}"
         )
-    value = total_payoff(payoff, pi1, pi2)
-    row_best = float(np.max(payoff.a @ pi2.w))
-    col_best = float(np.min(pi1.w @ payoff.a))
-    return (row_best - value) + (value - col_best)
+    return float(np.max(payoff.a @ pi2.w) - np.min(pi1.w @ payoff.a))
 
 
 def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessReport:

@@ -71,7 +71,7 @@ def test_solve_json(files, capsys):
     assert run(["solve", "--pref", path, "--psi", "identity", "--format", "json"]) == 0
     report = out_json(capsys)
     # emit sorts the keys.
-    assert list(report) == ["col_strategy", "duality_gap", "row_strategy", "solver_iterations", "value"]
+    assert list(report) == ["col_strategy", "exploitability", "row_strategy", "solver_iterations", "value"]
     assert report["solver_iterations"] > 0
     assert report["value"] == pytest.approx(0.5, abs=1e-9)
     np.testing.assert_allclose(report["row_strategy"], 1.0 / 3.0, atol=1e-8)
@@ -358,14 +358,14 @@ def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
     def fail_on_third(payoff):
         calls.append(payoff.n)
         if len(calls) == 3:
-            raise pg.SolverError("duality gap 1 exceeds tolerance 1e-09; the LP engine is inconsistent")
+            raise pg.SolverError("exploitability 1 exceeds 1e-09 x payoff span 1; the LP solve lost accuracy")
         return solve(payoff)
 
     monkeypatch.setattr(experiment, "solve_maximin", fail_on_third)
     with pytest.raises(pg.SolverError) as info:
         pg.monte_carlo(pg.identity(), trials=5, seed=11)
     message = str(info.value)
-    assert message.startswith("duality gap 1 exceeds tolerance 1e-09; the LP engine is inconsistent (")
+    assert message.startswith("exploitability 1 exceeds 1e-09 x payoff span 1; the LP solve lost accuracy (")
     assert f"(monte-carlo trial 2: n={calls[2]}, seed=" in message
     assert isinstance(info.value.__cause__, pg.SolverError)
 
@@ -376,7 +376,7 @@ def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
 
     calls.clear()
     assert run(["monte-carlo", "--trials", "5", "--seed", "11", "--no-timing"]) == 2
-    assert capsys.readouterr().err.startswith("error: duality gap 1 exceeds tolerance")
+    assert capsys.readouterr().err.startswith("error: exploitability 1 exceeds 1e-09")
 
 
 @pytest.mark.parametrize(
@@ -386,8 +386,14 @@ def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
         ("ragged.json", json.dumps({"p": [[0.5, 0.9, 0.1], [0.1, 0.5]]}), "pref"),
         ("power.json", json.dumps({"kind": "power", "k": "x"}), "psi"),
         ("declared.json", json.dumps({"n": "abc", "p": RPS}), "pref"),
+        ("declared.json", json.dumps({"n": 3.7, "p": RPS}), "pref"),
+        ("declared.json", json.dumps({"n": True, "p": [[0.5]]}), "pref"),
+        ("declared.json", json.dumps({"n": float("inf"), "p": RPS}), "pref"),
     ],
-    ids=["csv-cell", "ragged-matrix", "mapping-field", "declared-n"],
+    ids=[
+        "csv-cell", "ragged-matrix", "mapping-field", "declared-n", "declared-n-fraction", "declared-n-boolean",
+        "declared-n-infinite",
+    ],
 )
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role):
     good = tmp_path / "rps.json"
@@ -397,7 +403,7 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role)
     inputs = {"pref": str(good), "psi": "identity", role: str(bad)}
     assert run(["solve", "--pref", inputs["pref"], "--psi", inputs["psi"]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -441,13 +447,13 @@ def test_btl_non_numeric_rewards_exit_two(files, capsys, rewards):
 # The flags each subcommand reads; a flag it would ignore must not parse.
 SUBCOMMAND_FLAGS = {
     "validate": {"--pref"},
-    "solve": {"--pref", "--psi", "--tol"},
+    "solve": {"--pref", "--psi"},
     "decompose": {"--pref"},
     "check-psi": {"--psi"},
     "verdict": {"--pref", "--psi"},
     "btl": {"--rewards"},
-    "kkt": {"--payoff", "--target", "--tol"},
-    "pm-probe": {"--target", "--family", "--c", "--c2", "--family-n", "--tol"},
+    "kkt": {"--payoff", "--target"},
+    "pm-probe": {"--target", "--family", "--c", "--c2", "--family-n"},
     "gen": {"--n", "--seed", "--strength-low", "--strength-high", "--force-no-winner", "--t", "--t1", "--t2"},
     "monte-carlo": {
         "--psi", "--trials", "--seed", "--n-min", "--n-max", "--force-no-winner", "--witness-dir", "--no-timing",

@@ -82,6 +82,7 @@ class TestConstructions:
         assert cert.t == pytest.approx(float(np.sum(np.square(w))), abs=1e-12)
         # The certifying column weights coincide with the target itself.
         np.testing.assert_allclose(cert.u.w, w, atol=1e-7)
+        assert cert.complementarity_residual <= 1e-8 * (pay.a.max() - pay.a.min())
         nash = pg.solve_maximin(pay)
         assert nash.value == pytest.approx(cert.t, abs=1e-8)
 
@@ -95,6 +96,7 @@ class TestConstructions:
         # Here the certifying weights are proportional to the reciprocals.
         recip = 1.0 / np.asarray(w)
         np.testing.assert_allclose(cert.u.w, recip / recip.sum(), atol=1e-7)
+        assert cert.complementarity_residual <= 1e-8 * (pay.a.max() - pay.a.min())
         assert pg.solve_maximin(pay).value == pytest.approx(0.0, abs=1e-8)
 
     def test_constructions_need_full_support(self):

@@ -136,7 +136,7 @@ NAMED_FAILURES = [
         "piecewise_constant",
         45,
         2,
-        "duality gap 3.4263917657029904e-06 exceeds tolerance 1e-09; the LP engine is inconsistent",
+        "exploitability 2.081325863715483e-05 exceeds 1e-09 x payoff span 2.0; the LP solve lost accuracy",
     ),
 ]
 MAPPINGS = {"identity": pg.identity(), "piecewise_constant": pg.piecewise_constant(-1.0, 0.0, 1.0)}

@@ -82,7 +82,7 @@ class TestMaximin:
         assert nash.value == pytest.approx(0.5, abs=1e-9)
         np.testing.assert_allclose(nash.row_strategy.w, 1.0 / 3.0, atol=1e-9)
         np.testing.assert_allclose(nash.col_strategy.w, 1.0 / 3.0, atol=1e-9)
-        assert nash.duality_gap <= 1e-9
+        assert nash.exploitability <= 1e-9
         assert nash.solver_iterations > 0
 
     def test_value_never_negative_zero(self):
@@ -93,7 +93,7 @@ class TestMaximin:
 
     def test_report_dict_fields(self):
         d = pg.solve_maximin(rps_game()).to_dict()
-        assert list(d) == ["row_strategy", "col_strategy", "value", "duality_gap", "solver_iterations"]
+        assert list(d) == ["row_strategy", "col_strategy", "value", "exploitability", "solver_iterations"]
 
     def test_shifted_scaled_value(self):
         pay = rps_game()
@@ -107,8 +107,16 @@ class TestMaximin:
             n = int(rng.integers(2, 7))
             pay = pg.make_payoff(rng.uniform(-5.0, 5.0, size=(n, n)))
             nash = pg.solve_maximin(pay)
-            assert nash.duality_gap <= 1e-9
-            assert pg.best_response_gap(pay, nash.row_strategy, nash.col_strategy) <= 1e-8
+            gap = pg.best_response_gap(pay, nash.row_strategy, nash.col_strategy)
+            assert np.float64(nash.exploitability).tobytes() == np.float64(gap).tobytes()
+            assert nash.exploitability <= 1e-9 * (pay.a.max() - pay.a.min())
+
+    def test_exploitable_pair_is_a_solver_error(self):
+        # Under affine(1e-6, 0) the LPs' absolute pivot tolerance loses this
+        # game; the returned pair would be 0.105 of the span from best response.
+        pref = pg.random_tournament(pg.GeneratorConfig(n=6, seed=18))
+        with pytest.raises(pg.SolverError, match=r"^exploitability .* exceeds 1e-09 x payoff span "):
+            pg.solve_maximin(pg.apply_mapping(pref, pg.affine(1e-6, 0.0)))
 
     def test_positive_affine_invariance_of_strategies(self):
         rng = np.random.default_rng(7)
@@ -404,9 +412,9 @@ def two_lp_reference(payoff):
     """What ``solve_maximin`` reports when both players' LPs are run."""
     a = payoff.a
     row_w, value, _ = solver._maximin_lp(a)
-    col_w, col_neg_value, _ = solver._maximin_lp(-a.T)
-    gap = abs(value - -col_neg_value)
-    return solver._clean_policy(row_w).w, solver._clean_policy(col_w).w, value, gap
+    col_w, _, _ = solver._maximin_lp(-a.T)
+    row, col = solver._clean_policy(row_w), solver._clean_policy(col_w)
+    return row.w, col.w, value, pg.best_response_gap(payoff, row, col)
 
 
 def mapped_tournament(mapping, n, seed):
@@ -446,12 +454,12 @@ class TestSkewSymmetricGames:
         assert nash.row_strategy.w.tobytes() == row_w.tobytes()
         assert nash.col_strategy.w.tobytes() == col_w.tobytes()
         assert np.float64(nash.value).tobytes() == np.float64(value).tobytes()
-        assert np.float64(nash.duality_gap).tobytes() == np.float64(gap).tobytes()
+        assert np.float64(nash.exploitability).tobytes() == np.float64(gap).tobytes()
 
     def test_failing_game_fails_with_the_same_message(self):
         pay = mapped_tournament(SKEW_MAPPINGS["piecewise_constant"](), 45, seed=2)
         gap = two_lp_reference(pay)[3]
-        message = f"duality gap {gap} exceeds tolerance 1e-09; the LP engine is inconsistent"
+        message = f"exploitability {gap} exceeds 1e-09 x payoff span 2.0; the LP solve lost accuracy"
         with pytest.raises(pg.SolverError) as info:
             pg.solve_maximin(pay)
         assert str(info.value) == message
@@ -484,3 +492,6 @@ class TestSkewSymmetricGames:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("maximin solved")]
         assert len(lines) == 1
         assert lines[0].startswith(f"maximin solved: n=5 lps={lps} value=")
+        fields = dict(part.split("=") for part in lines[0].split(": ")[1].split())
+        assert 0.0 <= float(fields["exploitability"]) <= 1e-9 * float(fields["span"])
+        assert float(fields["span"]) > 0.0
