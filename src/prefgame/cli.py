@@ -22,14 +22,13 @@ from .core import (
     PreferenceMatrix,
     PrefGameError,
     ValidationError,
-    apply_mapping,
     make_payoff,
     make_policy,
     validate_preferences,
 )
 from .experiment import monte_carlo
-from .generators import GeneratorConfig, game_four, game_six, game_two, random_tournament
-from .mappings import MappingSpec, check_conditions, identity, mapping_from_dict
+from .generators import GeneratorConfig, random_tournament, table_preferences
+from .mappings import MappingSpec, apply_mapping, check_conditions, mapping_from_dict
 from .preference_matching import (
     btl_family,
     btl_preferences,
@@ -250,17 +249,10 @@ def _cmd_gen(args) -> int:
             force_no_winner=args.force_no_winner,
         )
         pref = random_tournament(cfg)
+    elif args.what == "table2":
+        pref = table_preferences("table2", args.t)
     else:
-        # Table games under the identity mapping are themselves valid
-        # preference matrices, which any downstream mapping can re-map.
-        shape = identity()
-        if args.what == "table2":
-            payoff = game_two(shape, args.t)
-        elif args.what == "table4":
-            payoff = game_four(shape, args.t1, args.t2)
-        else:
-            payoff = game_six(shape, args.t1, args.t2)
-        pref = validate_preferences(payoff.a)
+        pref = table_preferences(args.what, args.t1, args.t2)
     emit(pref.to_dict(), args)
     return EXIT_OK
 
@@ -332,16 +324,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-n", dest="family_n", type=int, default=None)
     p.set_defaults(handler=_cmd_pm_probe)
 
-    p = sub.add_parser("gen", parents=[output], help="emit a preference matrix")
-    p.add_argument("what", choices=("random", "table2", "table4", "table6"))
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--strength-low", dest="strength_low", type=float, default=0.55)
-    p.add_argument("--strength-high", dest="strength_high", type=float, default=0.95)
-    p.add_argument("--force-no-winner", dest="force_no_winner", action="store_true")
-    p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--t1", type=float, default=0.6)
-    p.add_argument("--t2", type=float, default=0.7)
+    p = sub.add_parser("gen", help="emit a preference matrix")
+    what = p.add_subparsers(dest="what", required=True)
+    g = what.add_parser("random", parents=[output], help="seeded random tournament")
+    g.add_argument("--n", type=int, default=5)
+    g.add_argument("--seed", type=int, default=42)
+    g.add_argument("--strength-low", dest="strength_low", type=float, default=0.55)
+    g.add_argument("--strength-high", dest="strength_high", type=float, default=0.95)
+    g.add_argument("--force-no-winner", dest="force_no_winner", action="store_true")
+    g = what.add_parser("table2", parents=[output], help="two-response proof game")
+    g.add_argument("--t", type=float, default=0.7)
+    for name, summary in (
+        ("table4", "three-cycle over a dominated response"),
+        ("table6", "two stacked three-cycles"),
+    ):
+        g = what.add_parser(name, parents=[output], help=summary)
+        g.add_argument("--t1", type=float, default=0.6)
+        g.add_argument("--t2", type=float, default=0.7)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("monte-carlo", parents=[output], help="seeded random verification run")

@@ -1,9 +1,9 @@
 """Core data types for pairwise preference games.
 
 A preference matrix holds pairwise win probabilities between n responses.
-Applying a scalar payoff mapping entrywise turns it into the payoff matrix
-of a two-player zero-sum game, and policies (probability vectors over the
-responses) are the strategies of that game.
+Applying a scalar payoff mapping entrywise (``apply_mapping``) turns it
+into the payoff matrix of a two-player zero-sum game, and policies
+(probability vectors over the responses) are the strategies of that game.
 
 All types are immutable after construction: the wrapped arrays are marked
 read-only, so instances can be shared freely across threads.
@@ -12,12 +12,8 @@ read-only, so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .mappings import MappingSpec
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_TIE_TOL = 1e-9
@@ -131,26 +127,16 @@ def _require_square(raw: np.ndarray, what: str) -> int:
     return int(raw.shape[0])
 
 
-def validate_preferences(
-    raw,
-    tie_tolerance: float = DEFAULT_TIE_TOL,
-    validation_tolerance: float = DEFAULT_VALIDATION_TOL,
-) -> PreferenceMatrix:
-    """Check a raw matrix of pairwise probabilities and wrap it.
+def validate_preferences(raw) -> PreferenceMatrix:
+    """Check a square array-like of pairwise probabilities in [0, 1] and wrap it.
 
-    Parameters
-    ----------
-    raw:
-        Square array-like with entries in [0, 1].
-    tie_tolerance:
-        Off-diagonal entries within this distance of 1/2 count as ties;
-        they do not abort validation but clear the ``no_tie`` flag.  A pair
-        whose entries lie both above or both at most 1/2, which loose
-        tolerances let through, clears it too, so ``no_tie`` holds exactly
-        when the majority relation is a tournament.
-    validation_tolerance:
-        Absolute slack allowed on the complement identity
-        ``p[i, j] + p[j, i] = 1`` and on the diagonal value 1/2.
+    The complement identity ``p[i, j] + p[j, i] = 1`` and the diagonal value
+    1/2 may miss by ``DEFAULT_VALIDATION_TOL``.  Off-diagonal entries within
+    ``DEFAULT_TIE_TOL`` of 1/2 count as ties; they do not abort validation
+    but clear the ``no_tie`` flag.  With both tolerances at 1e-9 a pair
+    whose entries lie on the same side of 1/2, each at least 1e-9 from it,
+    misses the complement identity by at least 2e-9 and is rejected, so
+    ``no_tie`` holds exactly when the majority relation is a tournament.
 
     Entries within tolerance are accepted as-is, never re-normalized, so
     the stored matrix is exactly the caller's data.
@@ -172,20 +158,19 @@ def validate_preferences(
             f"entry p[{bad[0]}][{bad[1]}] = {p[bad[0], bad[1]]} outside [0, 1]"
         )
     comp = np.abs(p + p.T - 1.0)
-    if np.any(comp > validation_tolerance):
-        bad = np.argwhere(comp > validation_tolerance)[0]
+    if np.any(comp > DEFAULT_VALIDATION_TOL):
+        bad = np.argwhere(comp > DEFAULT_VALIDATION_TOL)[0]
         i, j = int(bad[0]), int(bad[1])
         raise ValidationError(
             f"complement violation at ({i}, {j}): "
             f"p[{i}][{j}] + p[{j}][{i}] = {p[i, j] + p[j, i]}"
         )
     diag = np.abs(np.diagonal(p) - 0.5)
-    if np.any(diag > validation_tolerance):
+    if np.any(diag > DEFAULT_VALIDATION_TOL):
         i = int(np.argmax(diag))
         raise ValidationError(f"diagonal entry p[{i}][{i}] = {p[i, i]} must be 1/2")
     off = ~np.eye(n, dtype=bool)
-    beats = p > 0.5
-    no_tie = bool(np.all(np.abs(p[off] - 0.5) >= tie_tolerance) and np.all((beats != beats.T)[off]))
+    no_tie = bool(np.all(np.abs(p[off] - 0.5) >= DEFAULT_TIE_TOL))
     return PreferenceMatrix(n=n, p=_as_readonly(p), no_tie=no_tie)
 
 
@@ -219,28 +204,6 @@ def make_policy(raw) -> Policy:
     if not np.any(w > 0.0):
         raise ValidationError("policy support is empty")
     return Policy(n=int(w.size), w=_as_readonly(w))
-
-
-def apply_mapping(pref: PreferenceMatrix, mapping: "MappingSpec") -> PayoffMatrix:
-    """Apply a scalar payoff mapping entrywise to a preference matrix.
-
-    The diagonal of the result is the mapping's value at exactly 1/2, even
-    when stored diagonal entries carry float noise within the validation
-    tolerance; the diagonal anchors every downstream symmetry argument.
-    """
-    from .mappings import eval_mapping_array, eval_mapping
-
-    a = eval_mapping_array(mapping, pref.p)
-    mid = eval_mapping(mapping, 0.5)
-    np.fill_diagonal(a, mid)
-    if not np.all(np.isfinite(a)):
-        bad = np.argwhere(~np.isfinite(a))[0]
-        i, j = int(bad[0]), int(bad[1])
-        raise MappingError(
-            f"mapping produced non-finite payoff at ({i}, {j}) "
-            f"from preference {pref.p[i, j]}"
-        )
-    return PayoffMatrix(n=pref.n, a=_as_readonly(a))
 
 
 def total_payoff(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:

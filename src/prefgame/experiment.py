@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SolverError, ValidationError, apply_mapping
+from .core import SolverError, ValidationError
 from .generators import GeneratorConfig, random_tournament
-from .mappings import MappingSpec, mapping_to_dict
+from .mappings import MappingSpec, apply_mapping, mapping_to_dict
 from .social_choice import consistency_verdict
 from .solver import solve_maximin
 

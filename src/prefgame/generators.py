@@ -2,9 +2,10 @@
 
 Random tournaments are reproducible bit-for-bit from their seed: the PCG64
 generator seeded through numpy's SeedSequence is part of the public
-contract, so fixtures stay stable across platforms.  The ``game_*``
-builders produce the small structured games used to separate the mapping
-conditions, and ``mixture_weights`` solves the 2x2 system that makes the
+contract, so fixtures stay stable across platforms.  The small proof
+games that separate the mapping conditions are preference tables
+(``table_preferences``); the ``game_*`` builders map them through a payoff
+mapping, and ``mixture_weights`` solves the 2x2 system that makes the
 six-response game's two-cycle blend an exact equalizer.
 """
 
@@ -20,11 +21,10 @@ from .core import (
     Policy,
     PreferenceMatrix,
     ValidationError,
-    make_payoff,
     make_policy,
     validate_preferences,
 )
-from .mappings import MappingSpec, eval_mapping
+from .mappings import MappingSpec, apply_mapping
 from .social_choice import condorcet_winner
 
 REJECTION_CAP = 10_000
@@ -83,56 +83,52 @@ def random_tournament(cfg: GeneratorConfig) -> PreferenceMatrix:
     )
 
 
-def _check_open_half(name: str, t: float) -> None:
-    if not 0.5 < t <= 1.0:
+def _check_open_half(name: str, t: float | None) -> None:
+    if t is None or not 0.5 < t <= 1.0:
         raise ValidationError(f"{name} must lie in (1/2, 1], got {t}")
 
 
-def game_two(mapping: MappingSpec, t: float) -> PayoffMatrix:
-    """Two responses, the first preferred with probability ``t``."""
-    _check_open_half("t", t)
-    mid = eval_mapping(mapping, 0.5)
-    hi = eval_mapping(mapping, t)
-    lo = eval_mapping(mapping, 1.0 - t)
-    return make_payoff([[mid, hi], [lo, mid]])
+def table_preferences(kind: str, t1: float, t2: float | None = None) -> PreferenceMatrix:
+    """The proof game ``kind`` as a preference table.
 
-
-def _levels(mapping: MappingSpec, t1: float, t2: float) -> tuple[float, float, float, float, float]:
-    """Payoffs at 1/2, t1, 1-t1, t2 and 1-t2, shared by the two-strength games."""
+    - ``table2``: two responses, the first preferred with probability ``t1``;
+    - ``table4``: a three-cycle at strength ``t1`` whose responses each beat
+      a fourth, dominated one with probability ``t2``;
+    - ``table6``: two stacked three-cycles at strength ``t1``, the upper
+      one beating the lower at ``t2``.
+    """
+    if kind == "table2":
+        if t2 is not None:
+            raise ValidationError("table2 takes one strength")
+        _check_open_half("t", t1)
+        return validate_preferences([[0.5, t1], [1.0 - t1, 0.5]])
+    if kind not in ("table4", "table6"):
+        raise ValidationError(f"unknown table {kind!r}; known tables: table2, table4, table6")
     _check_open_half("t1", t1)
     _check_open_half("t2", t2)
-    mid = eval_mapping(mapping, 0.5)
-    a1 = eval_mapping(mapping, t1)
-    b1 = eval_mapping(mapping, 1.0 - t1)
-    a2 = eval_mapping(mapping, t2)
-    b2 = eval_mapping(mapping, 1.0 - t2)
-    return mid, a1, b1, a2, b2
+    cycle = np.array([[0.5, t1, 1.0 - t1], [1.0 - t1, 0.5, t1], [t1, 1.0 - t1, 0.5]])
+    if kind == "table4":
+        p = np.block([[cycle, np.full((3, 1), t2)], [np.full((1, 3), 1.0 - t2), 0.5]])
+    else:
+        p = np.block([[cycle, np.full((3, 3), t2)], [np.full((3, 3), 1.0 - t2), cycle]])
+    return validate_preferences(p)
+
+
+def game_two(mapping: MappingSpec, t: float) -> PayoffMatrix:
+    """``table2`` under ``mapping``."""
+    return apply_mapping(table_preferences("table2", t), mapping)
 
 
 def game_four(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
-    """A three-cycle at strength ``t1`` on top of one dominated response.
-
-    Rows 0-2 beat each other cyclically; each beats row 3 with probability
-    ``t2``.
-    """
-    mid, a1, b1, a2, b2 = _levels(mapping, t1, t2)
-    return make_payoff(
-        [
-            [mid, a1, b1, a2],
-            [b1, mid, a1, a2],
-            [a1, b1, mid, a2],
-            [b2, b2, b2, mid],
-        ]
-    )
+    """``table4`` under ``mapping``: rows 0-2 beat each other cyclically and
+    each beats row 3 with probability ``t2``."""
+    return apply_mapping(table_preferences("table4", t1, t2), mapping)
 
 
 def game_six(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
-    """Two stacked three-cycles, the upper one beating the lower at ``t2``."""
-    mid, a1, b1, a2, b2 = _levels(mapping, t1, t2)
-    cycle = np.array([[mid, a1, b1], [b1, mid, a1], [a1, b1, mid]])
-    top = np.hstack([cycle, np.full((3, 3), a2)])
-    bottom = np.hstack([np.full((3, 3), b2), cycle])
-    return make_payoff(np.vstack([top, bottom]))
+    """``table6`` under ``mapping``: two stacked three-cycles, the upper one
+    beating the lower at ``t2``."""
+    return apply_mapping(table_preferences("table6", t1, t2), mapping)
 
 
 def mixture_weights(mapping: MappingSpec, t1: float, t2: float) -> tuple[Policy, Policy]:
@@ -146,7 +142,8 @@ def mixture_weights(mapping: MappingSpec, t1: float, t2: float) -> tuple[Policy,
     cross values straddling the midpoint value, but only positivity is
     required.
     """
-    mid, a1, b1, a2, b2 = _levels(mapping, t1, t2)
+    a = game_six(mapping, t1, t2).a
+    mid, a1, b1, a2, b2 = (float(a[i, j]) for i, j in ((0, 0), (0, 1), (0, 2), (0, 3), (3, 0)))
     cycle_sum = mid + a1 + b1
     d_top = cycle_sum - 3.0 * a2
     d_bottom = cycle_sum - 3.0 * b2

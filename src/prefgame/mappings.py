@@ -1,6 +1,7 @@
 """Scalar payoff mappings on [0, 1] and their consistency conditions.
 
-A mapping turns a pairwise preference probability into a game payoff.  The
+A mapping turns a pairwise preference probability into a game payoff, and
+``apply_mapping`` turns a preference matrix into a payoff matrix with it.  The
 shape of the mapping around the midpoint 1/2 decides which social-choice
 guarantees the induced game keeps; ``check_conditions`` decides the three
 relevant shape conditions:
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MappingError
+from .core import MappingError, PayoffMatrix, PreferenceMatrix, _as_readonly
 
 LOG_ODDS_CLAMP = 1e-9
 # Allowance for the equality and non-strict tests, relative to the largest
@@ -246,6 +247,26 @@ def eval_mapping(spec: MappingSpec, t: float) -> float:
     if not np.isfinite(out):
         raise MappingError(f"mapping {spec.kind} is not finite at t={t}")
     return out
+
+
+def apply_mapping(pref: PreferenceMatrix, mapping: MappingSpec) -> PayoffMatrix:
+    """Apply a scalar payoff mapping entrywise to a preference matrix.
+
+    The diagonal of the result is the mapping's value at exactly 1/2, even
+    when stored diagonal entries carry float noise within the validation
+    tolerance; the diagonal anchors every downstream symmetry argument.
+    """
+    a = eval_mapping_array(mapping, pref.p)
+    mid = eval_mapping(mapping, 0.5)
+    np.fill_diagonal(a, mid)
+    if not np.all(np.isfinite(a)):
+        bad = np.argwhere(~np.isfinite(a))[0]
+        i, j = int(bad[0]), int(bad[1])
+        raise MappingError(
+            f"mapping produced non-finite payoff at ({i}, {j}) "
+            f"from preference {pref.p[i, j]}"
+        )
+    return PayoffMatrix(n=pref.n, a=_as_readonly(a))
 
 
 def _critical_points(spec: MappingSpec) -> np.ndarray:

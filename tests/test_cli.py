@@ -284,6 +284,11 @@ def test_gen_random_is_deterministic(capsys):
     pg.validate_preferences(json.loads(first)["p"])
 
 
+def test_gen_table_emits_the_preference_table(capsys):
+    assert run(["gen", "table4", "--t1", "0.9", "--t2", "0.55", "--format", "json"]) == 0
+    assert out_json(capsys) == pg.table_preferences("table4", 0.9, 0.55).to_dict()
+
+
 def test_gen_table_pipeline(files, capsys):
     # The emitted table game must reproduce the degenerate solve end to end.
     tmp_path, write = files
@@ -454,20 +459,42 @@ SUBCOMMAND_FLAGS = {
     "btl": {"--rewards"},
     "kkt": {"--payoff", "--target"},
     "pm-probe": {"--target", "--family", "--c", "--c2", "--family-n"},
-    "gen": {"--n", "--seed", "--strength-low", "--strength-high", "--force-no-winner", "--t", "--t1", "--t2"},
+    "gen random": {"--n", "--seed", "--strength-low", "--strength-high", "--force-no-winner"},
+    "gen table2": {"--t"},
+    "gen table4": {"--t1", "--t2"},
+    "gen table6": {"--t1", "--t2"},
     "monte-carlo": {
         "--psi", "--trials", "--seed", "--n-min", "--n-max", "--force-no-winner", "--witness-dir", "--no-timing",
     },
 }
 
 
+def _flags(parser):
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+def _leaf_parsers(parser, path=()):
+    """Yield (command words, parser) for every parser without subcommands.
+
+    A parser with subcommands, such as ``gen``, must itself take no flag
+    but ``--help``.
+    """
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        yield " ".join(path), parser
+        return
+    if path:
+        assert _flags(parser) == {"-h", "--help"}, " ".join(path)
+    for action in nested:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
 def test_subcommands_take_only_the_flags_they_read():
-    parser = cli.build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
-    for name, sub in subparsers.choices.items():
-        flags = {flag for action in sub._actions for flag in action.option_strings}
-        assert flags == SUBCOMMAND_FLAGS[name] | {"-h", "--help", "--format", "--out"}, name
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert set(leaves) == set(SUBCOMMAND_FLAGS)
+    for name, sub in leaves.items():
+        assert _flags(sub) == SUBCOMMAND_FLAGS[name] | {"-h", "--help", "--format", "--out"}, name
 
 
 @pytest.mark.parametrize(
@@ -476,6 +503,8 @@ def test_subcommands_take_only_the_flags_they_read():
         ["validate", "--pref", "pref.json", "--seed", "3"],
         ["verdict", "--pref", "pref.json", "--psi", "identity", "--tol", "1e-3"],
         ["check-psi", "--psi", "identity", "--grid", "5"],
+        ["gen", "table2", "--n", "9"],
+        ["gen", "random", "--t", "0.7"],
     ],
 )
 def test_ignored_flags_are_rejected(argv, capsys):

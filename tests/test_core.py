@@ -70,6 +70,32 @@ def test_complement_tolerance_boundary():
         pg.validate_preferences(bad)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    d=arrays(np.float64, (4, 4), elements=st.floats(-1e-8, 1e-8)),
+    same_side=arrays(np.bool_, (4, 4)),
+    distance=arrays(np.float64, (4, 4), elements=st.floats(0.0, 1e-8)),
+    slack=arrays(np.float64, (4, 4), elements=st.floats(-2e-9, 2e-9)),
+)
+def test_no_tie_means_an_antisymmetric_majority(n, d, same_side, distance, slack):
+    # Every entry lies within 1e-8 of 1/2, where the complement and tie
+    # tolerances meet.  p[i, j] = 1/2 + d; p[j, i] lies on the same side of
+    # 1/2 at the drawn distance, or misses 1 - p[i, j] by the slack.
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    d = d[:n, :n]
+    e = np.where(same_side[:n, :n], np.sign(d) * distance[:n, :n], np.clip(slack[:n, :n] - d, -1e-8, 1e-8))
+    p = 0.5 + np.where(upper, d, 0.0) + np.where(upper, e, 0.0).T
+    try:
+        pref = pg.validate_preferences(p)
+    except pg.ValidationError:
+        return
+    if pref.no_tie:
+        beats = pref.p > 0.5
+        off = ~np.eye(n, dtype=bool)
+        assert np.all((beats != beats.T)[off])
+
+
 def test_exception_hierarchy():
     assert issubclass(pg.ValidationError, pg.PrefGameError)
     assert issubclass(pg.ValidationError, ValueError)

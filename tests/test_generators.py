@@ -133,6 +133,60 @@ class TestTableGames:
         np.testing.assert_allclose(pay.a, expected, atol=1e-12)
 
 
+# Mappings of every kind, including a table with more breakpoints than a
+# proof game has entries and a symmetric extension of a bumpy base.
+PINNED_MAPPINGS = [
+    pg.identity(),
+    pg.log_odds(),
+    pg.affine(-3.0, 2.5),
+    pg.power(0.5),
+    pg.power(2.0),
+    pg.power(-1.0, clamp_epsilon=1e-3),
+    pg.piecewise_constant(-1.0, 0.0, 1.0),
+    pg.piecewise_linear(QUAD),
+    pg.piecewise_linear([(i / 40, np.sin(7.0 * i / 40)) for i in range(41)]),
+    pg.symmetric_extension(pg.piecewise_linear([(0.0, -1.0), (0.2, -0.3), (0.3, -0.6), (0.5, 0.0)])),
+]
+
+
+def _entrywise(mapping, pref):
+    """The payoff built one scalar ``eval_mapping`` call per entry, diagonal at exactly 1/2."""
+    n = pref.n
+    return np.array(
+        [[pg.eval_mapping(mapping, 0.5 if i == j else pref.p[i, j]) for j in range(n)] for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize("mapping", PINNED_MAPPINGS, ids=lambda m: m.kind)
+def test_proof_games_are_their_tables_under_the_mapping(mapping):
+    for t1 in (0.5 + 1e-9, 0.55, 0.6, 0.7, 0.9, 1.0):
+        games = [
+            (pg.game_two(mapping, t1), pg.table_preferences("table2", t1)),
+            (pg.game_four(mapping, t1, 0.55), pg.table_preferences("table4", t1, 0.55)),
+            (pg.game_six(mapping, t1, 0.8), pg.table_preferences("table6", t1, 0.8)),
+        ]
+        for game, table in games:
+            assert game.a.tobytes() == pg.apply_mapping(table, mapping).a.tobytes()
+            assert game.a.tobytes() == _entrywise(mapping, table).tobytes()
+
+
+class TestTablePreferences:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("table2", 0.4), "t must lie in (1/2, 1], got 0.4"),
+            (("table2", 0.7, 0.6), "table2 takes one strength"),
+            (("table4", 0.7), "t2 must lie in (1/2, 1], got None"),
+            (("table6", 1.2, 0.6), "t1 must lie in (1/2, 1], got 1.2"),
+            (("table5", 0.7, 0.6), "unknown table 'table5'"),
+        ],
+    )
+    def test_bad_arguments_are_validation_errors(self, args, message):
+        with pytest.raises(pg.ValidationError) as info:
+            pg.table_preferences(*args)
+        assert str(info.value).startswith(message)
+
+
 class TestMixtureWeights:
     def test_pinned_blend(self):
         blend, primed = pg.mixture_weights(pg.piecewise_linear(QUAD), 0.9, 0.6)

@@ -186,10 +186,11 @@ class TestDecomposition:
             pg.smith_decomposition(tied)
 
     def test_pair_both_above_half_is_a_tie(self):
-        # Loose tolerances accept p[0, 1] and p[1, 0] both above 1/2: each
-        # response beats the other, so the majority relation is no tournament.
+        # p[0, 1] and p[1, 0] both lie 1e-10 above 1/2, within the complement
+        # and tie tolerances: each response beats the other, so the majority
+        # relation is no tournament.
         p = [[0.5, 0.5 + 1e-10, 0.9], [0.5 + 1e-10, 0.5, 0.1], [0.1, 0.9, 0.5]]
-        pref = pg.validate_preferences(p, tie_tolerance=1e-12, validation_tolerance=1e-6)
+        pref = pg.validate_preferences(p)
         assert pref.no_tie is False
         with pytest.raises(pg.TieError):
             pg.smith_decomposition(pref)
