@@ -48,15 +48,18 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
 
-class _NotAnObject(ValidationError):
-    """A JSON input file whose top level is not an object: bad input, not a bad matrix."""
+class _UnreadableInput(ValidationError):
+    """A JSON input file that does not parse to an object: bad input, not a bad matrix."""
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise _UnreadableInput(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise _NotAnObject(f"{path}: JSON top level must be an object, got {type(data).__name__}")
+        raise _UnreadableInput(f"{path}: JSON top level must be an object, got {type(data).__name__}")
     return data
 
 
@@ -69,39 +72,42 @@ def _check_declared_n(path: str, data: dict, n: int) -> None:
     if isinstance(declared, bool) or not (isinstance(declared, int) or integral):
         raise ValidationError(f"{path}: declared n={declared!r} is not an integer")
     if declared != n:
-        raise ValidationError(f"{path}: declared n={data['n']} but matrix is {n}x{n}")
+        raise ValidationError(f"{path}: declared n={data['n']} but the data has n={n}")
 
 
-def load_preferences(path: str) -> PreferenceMatrix:
-    """Read a preference matrix from JSON ({"n", "p"}) or CSV rows."""
+def _load_matrix(path: str, field: str, build):
+    """Read a square matrix from JSON ({"n", field}) or CSV rows and wrap it with ``build``."""
     if path.endswith(".csv"):
         try:
             raw = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: not a numeric CSV matrix: {exc}") from None
-        return validate_preferences(raw)
+        return build(raw)
     data = _load_json(path)
-    if "p" not in data:
-        raise ValidationError(f"{path}: preference JSON needs a 'p' field")
-    pref = validate_preferences(data["p"])
-    _check_declared_n(path, data, pref.n)
-    return pref
+    if field not in data:
+        raise ValidationError(f"{path}: matrix JSON needs a {field!r} field")
+    matrix = build(data[field])
+    _check_declared_n(path, data, matrix.n)
+    return matrix
+
+
+def load_preferences(path: str) -> PreferenceMatrix:
+    """Read a preference matrix from JSON ({"n", "p"}) or CSV rows."""
+    return _load_matrix(path, "p", validate_preferences)
 
 
 def load_payoff(path: str) -> PayoffMatrix:
-    data = _load_json(path)
-    if "a" not in data:
-        raise ValidationError(f"{path}: payoff JSON needs an 'a' field")
-    payoff = make_payoff(data["a"])
-    _check_declared_n(path, data, payoff.n)
-    return payoff
+    """Read a payoff matrix from JSON ({"n", "a"}) or CSV rows."""
+    return _load_matrix(path, "a", make_payoff)
 
 
 def load_policy(path: str) -> Policy:
     data = _load_json(path)
     if "w" not in data:
         raise ValidationError(f"{path}: policy JSON needs a 'w' field")
-    return make_policy(data["w"])
+    policy = make_policy(data["w"])
+    _check_declared_n(path, data, policy.n)
+    return policy
 
 
 def load_mapping(arg: str) -> MappingSpec:
@@ -150,7 +156,7 @@ def emit(data: dict, args) -> None:
 def _cmd_validate(args) -> int:
     try:
         pref = load_preferences(args.pref)
-    except _NotAnObject:
+    except _UnreadableInput:
         raise
     except ValidationError as exc:
         emit({"valid": False, "reason": str(exc)}, args)
@@ -366,7 +372,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (PrefGameError, OSError, json.JSONDecodeError) as exc:
+    except (PrefGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -11,7 +11,7 @@ read-only, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,29 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+class Record:
+    """A report whose JSON form is its dataclass fields in declaration order."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """``value`` as JSON data: a policy as its weights, a record as its dict,
+    an array, tuple or list as a list, a dict as a new dict, else as is."""
+    if isinstance(value, Policy):
+        return value.w.tolist()
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class PreferenceMatrix:
     """Pairwise preference probabilities between ``n`` responses.
@@ -66,23 +89,21 @@ class PreferenceMatrix:
     p: np.ndarray
     no_tie: bool
 
+    # ``no_tie`` is derived from ``p``; the preference file format is {"n", "p"}.
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p.tolist()}
 
 
 @dataclass(frozen=True)
-class PayoffMatrix:
+class PayoffMatrix(Record):
     """Real payoff ``a[i, j]`` earned by the row player against the column player."""
 
     n: int
     a: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "a": self.a.tolist()}
-
 
 @dataclass(frozen=True)
-class Policy:
+class Policy(Record):
     """A probability vector over ``n`` responses."""
 
     n: int
@@ -91,9 +112,6 @@ class Policy:
     def support(self) -> list[int]:
         """Indices carrying more than ``SUPPORT_THRESHOLD`` mass."""
         return [int(i) for i in np.flatnonzero(self.w > SUPPORT_THRESHOLD)]
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "w": self.w.tolist()}
 
     @staticmethod
     def delta(i: int, n: int) -> "Policy":

@@ -11,11 +11,11 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolverError, ValidationError
+from .core import Record, SolverError, ValidationError
 from .generators import GeneratorConfig, random_tournament
 from .mappings import MappingSpec, apply_mapping, mapping_to_dict
 from .social_choice import consistency_verdict
@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(Record):
     """Tally of one seeded verification run."""
 
     trials: int
@@ -41,7 +41,7 @@ class MonteCarloSummary:
     elapsed_ms: int
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        out = asdict(self)
+        out = super().to_dict()
         if not include_timing:
             del out["elapsed_ms"]
         return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MappingError, PayoffMatrix, PreferenceMatrix, _as_readonly
+from .core import MappingError, PayoffMatrix, PreferenceMatrix, Record, _as_readonly
 
 LOG_ODDS_CLAMP = 1e-9
 # Allowance for the equality and non-strict tests, relative to the largest
@@ -57,7 +57,7 @@ class MappingSpec:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Verdicts for the three mapping shape conditions.
 
     ``witnesses`` holds one ``(t, reason)`` pair for each failed condition,
@@ -72,16 +72,6 @@ class ConditionReport:
     witnesses: tuple[tuple[float, str], ...]
     jump_below: float
     jump_above: float
-
-    def to_dict(self) -> dict:
-        return {
-            "condorcet_ok": self.condorcet_ok,
-            "mixed_ok": self.mixed_ok,
-            "smith_ok": self.smith_ok,
-            "witnesses": [[t, reason] for t, reason in self.witnesses],
-            "jump_below": self.jump_below,
-            "jump_above": self.jump_above,
-        }
 
 
 def identity(clamp_epsilon: float = 0.0) -> MappingSpec:

@@ -22,6 +22,7 @@ from .core import (
     PayoffMatrix,
     Policy,
     PreferenceMatrix,
+    Record,
     ValidationError,
     _as_readonly,
     _float_array,
@@ -35,17 +36,14 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class BTLModel:
+class BTLModel(Record):
     """A reward per response; preferences follow by logistic comparison."""
 
     rewards: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {"rewards": self.rewards.tolist()}
-
 
 @dataclass(frozen=True)
-class KKTCertificate:
+class KKTCertificate(Record):
     """Stationarity evidence that a target policy is a maximin solution.
 
     ``u`` re-weights the columns so that every row payoff equals ``t``,
@@ -59,15 +57,6 @@ class KKTCertificate:
     column_slacks: np.ndarray
     complementarity_residual: float | None
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "u": None if self.u is None else self.u.w.tolist(),
-            "t": self.t,
-            "column_slacks": self.column_slacks.tolist(),
-            "complementarity_residual": self.complementarity_residual,
-            "feasible": self.feasible,
-        }
 
 
 @dataclass(frozen=True)
@@ -90,6 +79,7 @@ class ProbeReport:
     kkt: KKTCertificate
     nash: NashReport
 
+    # A flat summary of the two nested reports, not a dump of them.
     def to_dict(self) -> dict:
         return {
             "gap": self.gap,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PreferenceMatrix, TieError
+from .core import PreferenceMatrix, Record, TieError
 from .solver import NashReport
 
 MASS_TOL = 1e-6
@@ -27,7 +27,7 @@ CYCLE = "cycle"
 
 
 @dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Ordered partition of responses into dominance groups.
 
     Earlier groups beat every member of later groups pairwise.  A group is
@@ -42,15 +42,9 @@ class Decomposition:
     def top_group(self) -> tuple[int, ...]:
         return self.groups[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "groups": [list(g) for g in self.groups],
-            "kinds": list(self.kinds),
-        }
-
 
 @dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(Record):
     """How a game solution relates to the tournament structure.
 
     ``condorcet_consistent`` is None when no single response beats all
@@ -64,15 +58,6 @@ class ConsistencyVerdict:
     smith_consistent: bool
     is_mixed: bool
     mass_outside_smith: float
-
-    def to_dict(self) -> dict:
-        return {
-            "condorcet_winner": self.condorcet_winner,
-            "condorcet_consistent": self.condorcet_consistent,
-            "smith_consistent": self.smith_consistent,
-            "is_mixed": self.is_mixed,
-            "mass_outside_smith": self.mass_outside_smith,
-        }
 
 
 def _scores(pref: PreferenceMatrix) -> np.ndarray:

@@ -21,6 +21,7 @@ from .core import (
     SUPPORT_THRESHOLD,
     PayoffMatrix,
     Policy,
+    Record,
     SolverError,
     ValidationError,
     _as_readonly,
@@ -33,7 +34,7 @@ DEFAULT_VERIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class NashReport:
+class NashReport(Record):
     """Solution of a zero-sum game from both sides.
 
     ``row_strategy`` attains ``value`` as a guaranteed minimum over columns;
@@ -49,18 +50,9 @@ class NashReport:
     exploitability: float
     solver_iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "row_strategy": self.row_strategy.w.tolist(),
-            "col_strategy": self.col_strategy.w.tolist(),
-            "value": self.value,
-            "exploitability": self.exploitability,
-            "solver_iterations": self.solver_iterations,
-        }
-
 
 @dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(Record):
     """Optimal-polytope geometry around a solved game.
 
     ``coordinate_ranges[i]`` is the [min, max] of the i-th strategy weight
@@ -72,14 +64,6 @@ class UniquenessReport:
     column_slacks: np.ndarray
     dual_support_full: bool
     coordinate_ranges: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "unique": self.unique,
-            "column_slacks": self.column_slacks.tolist(),
-            "dual_support_full": self.dual_support_full,
-            "coordinate_ranges": self.coordinate_ranges.tolist(),
-        }
 
 
 def _clean_policy(w: np.ndarray) -> Policy:

@@ -143,6 +143,14 @@ def test_decompose(files, capsys):
     assert report["kinds"] == ["cycle"]
 
 
+def test_decompose_table_lists_one_group_per_line(files, capsys):
+    # A three-cycle over a response that all three beat.
+    _, write = files
+    p = [[0.5, 0.9, 0.1, 0.8], [0.1, 0.5, 0.9, 0.8], [0.9, 0.1, 0.5, 0.8], [0.2, 0.2, 0.2, 0.5]]
+    assert run(["decompose", "--pref", write("pref.json", {"n": 4, "p": p})]) == 0
+    assert capsys.readouterr().out.splitlines() == ["groups:", "  0  1  2", "  3", "kinds: cycle  singleton"]
+
+
 def test_decompose_tie_exits_two(files, capsys):
     _, write = files
     path = write("tied.json", {"n": 2, "p": [[0.5, 0.5], [0.5, 0.5]]})
@@ -223,6 +231,20 @@ def test_btl_inline_rewards(capsys):
     assert report["pm_policy"]["w"][0] == pytest.approx(np.e / (1.0 + np.e))
 
 
+def test_btl_table_indents_nested_reports(capsys):
+    assert run(["btl", "--rewards", "1,0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "preferences:",
+        "  n: 2",
+        "  p:",
+        "    0.5  0.73105857863",
+        "    0.26894142137  0.5",
+        "pm_policy:",
+        "  n: 2",
+        "  w: 0.73105857863  0.26894142137",
+    ]
+
+
 def test_btl_rewards_file(files, capsys):
     _, write = files
     path = write("rewards.json", {"rewards": [float(np.log(2.0)), 0.0]})
@@ -236,6 +258,28 @@ def test_kkt_feasible(files, capsys):
     target = write("target.json", {"w": [0.5, 0.5]})
     assert run(["kkt", "--payoff", payoff, "--target", target, "--format", "json"]) == 0
     assert out_json(capsys)["feasible"] is True
+
+
+def test_kkt_reads_a_csv_payoff(files, capsys):
+    tmp_path, write = files
+    csv = tmp_path / "payoff.csv"
+    csv.write_text("0,1\n1,0\n")
+    target = write("target.json", {"w": [0.5, 0.5]})
+    assert run(["kkt", "--payoff", str(csv), "--target", target, "--format", "json"]) == 0
+    from_csv = capsys.readouterr().out
+    payoff = write("payoff.json", {"n": 2, "a": [[0.0, 1.0], [1.0, 0.0]]})
+    assert run(["kkt", "--payoff", payoff, "--target", target, "--format", "json"]) == 0
+    assert from_csv == capsys.readouterr().out
+
+
+def test_kkt_target_with_a_wrong_declared_n_exits_two(files, capsys):
+    _, write = files
+    payoff = write("payoff.json", {"n": 2, "a": [[0.0, 1.0], [1.0, 0.0]]})
+    target = write("target.json", {"n": 4, "w": [0.5, 0.5]})
+    assert run(["kkt", "--payoff", payoff, "--target", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {target}: declared n=4 but the data has n=2\n"
 
 
 def test_kkt_infeasible_exits_one(files, capsys):
@@ -287,6 +331,11 @@ def test_gen_random_is_deterministic(capsys):
 def test_gen_table_emits_the_preference_table(capsys):
     assert run(["gen", "table4", "--t1", "0.9", "--t2", "0.55", "--format", "json"]) == 0
     assert out_json(capsys) == pg.table_preferences("table4", 0.9, 0.55).to_dict()
+
+
+def test_gen_table2_emits_the_preference_table(capsys):
+    assert run(["gen", "table2", "--t", "0.8", "--format", "json"]) == 0
+    assert out_json(capsys) == pg.table_preferences("table2", 0.8).to_dict()
 
 
 def test_gen_table_pipeline(files, capsys):
@@ -412,7 +461,8 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
+# Every JSON input a subcommand reads, with {bad} in one place and good files elsewhere.
+JSON_INPUTS = pytest.mark.parametrize(
     "argv",
     [
         ["validate", "--pref", "{bad}"],
@@ -425,8 +475,9 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role)
     ],
     ids=["validate", "solve-pref", "solve-psi", "kkt-payoff", "kkt-target", "pm-probe", "btl"],
 )
-@pytest.mark.parametrize("content", ["3", "[[0.5]]"])
-def test_json_input_that_is_not_an_object(files, capsys, argv, content):
+
+
+def _run_with_bad_file(files, argv, content):
     tmp_path, write = files
     paths = {
         "pref": write("pref.json", {"n": 3, "p": RPS}),
@@ -436,8 +487,22 @@ def test_json_input_that_is_not_an_object(files, capsys, argv, content):
     }
     (tmp_path / "bad.json").write_text(content)
     assert run([arg.format(**paths) for arg in argv]) == 2
+    return paths
+
+
+@JSON_INPUTS
+@pytest.mark.parametrize("content", ["3", "[[0.5]]"])
+def test_json_input_that_is_not_an_object(files, capsys, argv, content):
+    paths = _run_with_bad_file(files, argv, content)
     kind = type(json.loads(content)).__name__
     assert capsys.readouterr().err == f"error: {paths['bad']}: JSON top level must be an object, got {kind}\n"
+
+
+@JSON_INPUTS
+def test_truncated_json_input_names_its_file(files, capsys, argv):
+    paths = _run_with_bad_file(files, argv, '{"n": 3, "p": [[0.5, 0.9')
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths['bad']}: not valid JSON: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("rewards", [["a", 1], "abc"])

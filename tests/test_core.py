@@ -1,4 +1,7 @@
-"""Validation and construction of the shared value types."""
+"""Validation and construction of the shared value types, and their JSON form."""
+
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
+from prefgame.core import Record
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
 
@@ -195,3 +199,49 @@ def test_total_payoff_bilinear(a, u, v, y, alpha):
     left = pg.total_payoff(pay, mix, py)
     right = alpha * pg.total_payoff(pay, pu, py) + (1.0 - alpha) * pg.total_payoff(pay, pv, py)
     assert left == pytest.approx(right, abs=1e-9)
+
+
+PREF = pg.validate_preferences(RPS)
+PAYOFF = pg.apply_mapping(PREF, pg.identity())
+NASH = pg.solve_maximin(PAYOFF)
+TARGET = pg.make_policy([0.2, 0.3, 0.5])
+
+# One report per ``Record`` class; the KKT certificate with and without ``u``.
+RECORDS = {
+    "payoff": lambda: PAYOFF,
+    "policy": lambda: NASH.row_strategy,
+    "nash": lambda: NASH,
+    "uniqueness": lambda: pg.uniqueness_report(PAYOFF, NASH),
+    "btl": lambda: pg.make_btl([1.0, 0.3, 0.0]),
+    "kkt-feasible": lambda: pg.kkt_verify(pg.construction_one(TARGET), TARGET),
+    "kkt-infeasible": lambda: pg.pm_gap(pg.btl_family(), pg.make_policy([0.6, 0.3, 0.1])).kkt,
+    "decomposition": lambda: pg.smith_decomposition(PREF),
+    "verdict": lambda: pg.consistency_verdict(PREF, NASH),
+    "conditions": lambda: pg.check_conditions(pg.power(2.0)),
+    "monte-carlo": lambda: pg.monte_carlo(pg.identity(), trials=2, seed=1),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_records_cover_every_record_class():
+    assert {type(build()) for build in RECORDS.values()} == set(_subclasses(Record))
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+def test_record_json_lists_the_dataclass_fields_in_order(build):
+    record = build()
+    out = record.to_dict()
+    assert list(out) == [f.name for f in fields(record)]
+    json.dumps(out)
+
+
+def test_record_json_is_a_copy():
+    summary = pg.monte_carlo(pg.symmetric_extension(pg.piecewise_linear([(0.0, -1.0), (0.5, 0.0)])), trials=1)
+    out = summary.to_dict()
+    out["psi"]["base"]["points"][0][1] = 7.0
+    assert summary.psi["base"]["points"][0][1] == -1.0

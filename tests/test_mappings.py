@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import prefgame as pg
 from grid_oracle import grid_verdicts
+from test_acceptance import BUMPY_BASE
 from prefgame import mappings
 from prefgame.mappings import eval_mapping, eval_mapping_array, mapping_from_dict, mapping_to_dict
 
@@ -207,6 +208,16 @@ class TestConditions:
         assert not report.condorcet_ok
         assert not report.mixed_ok
         assert not report.smith_ok
+
+    def test_symmetric_extension_takes_its_base_points_up_to_the_midpoint(self):
+        base = pg.piecewise_linear([(0.0, -1.0), (0.2, -0.3), (0.3, -0.6), (0.5, 0.0)])
+        points = mappings._critical_points(pg.symmetric_extension(base))
+        assert points.tolist() == [0.0, 0.2, 0.3, 0.5, 0.7, 0.8, 1.0]
+
+    def test_bumpy_extension_passes_all(self):
+        report = pg.check_conditions(pg.symmetric_extension(pg.piecewise_linear(BUMPY_BASE)))
+        assert report.condorcet_ok and report.mixed_ok and report.smith_ok
+        assert report.witnesses == ()
 
     def test_jumps_are_taken_next_to_the_midpoint(self):
         step = pg.check_conditions(pg.piecewise_constant(-1.0, 0.0, 1.0))

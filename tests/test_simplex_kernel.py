@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
 import reference_simplex
-from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp
+from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_standard_lp
 from prefgame.solver import _maximin_program
 
 # Small integers make degenerate and tied pivots common; bounded floats keep
@@ -25,18 +25,22 @@ def _solve(solve, c, a, b):
 
 
 def assert_same(cs, a, b):
-    """Both loops give the same result for each objective, or fail with the same message."""
+    """Both loops give the same result for each objective, or fail with the same message.
+
+    Returns one result per objective: the ``LPResult``, or the shared
+    ``SolverError`` message.
+    """
     results = []
     for c in cs:
         got = _solve(solve_standard_lp, c, a, b)
         want = _solve(reference_simplex.solve_standard_lp, c, a, b)
         if isinstance(want, str) or isinstance(got, str):
             assert got == want
-            return got
-        assert got.status == want.status
-        assert got.x.tobytes() == want.x.tobytes()
-        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
-        assert got.iterations == want.iterations
+        else:
+            assert got.status == want.status
+            assert got.x.tobytes() == want.x.tobytes()
+            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+            assert got.iterations == want.iterations
         results.append(got)
     return results
 
@@ -105,8 +109,9 @@ def test_infeasible_lps(data):
     b = data.draw(arrays(np.float64, a.shape[0], elements=ENTRY))
     a = np.vstack([a, a[:1]])
     b = np.append(b, b[0] + data.draw(st.sampled_from([-1.0, 0.5, 2.0])))
-    results = assert_same(data.draw(objectives(a.shape[1])), a, b)
-    assert all(r.status == INFEASIBLE for r in results)
+    for result in assert_same(data.draw(objectives(a.shape[1])), a, b):
+        assert isinstance(result, LPResult), result
+        assert result.status == INFEASIBLE
 
 
 def test_every_status_in_one_sweep():
