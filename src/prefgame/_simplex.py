@@ -190,12 +190,12 @@ def solve_standard_lp(c, a_eq, b_eq) -> LPResult:
     return _solve(c, a_eq, b_eq)[0]
 
 
-def optimal_face_ranges(c, a_eq, b_eq, k: int, face_tol):
+def optimal_face_ranges(c, a_eq, b_eq, k: int, face_tol: float):
     """Solve min c.x with A x = b, x >= 0, then bound x_0 .. x_{k-1} over its optimal face.
 
-    Nonbasic columns with a final reduced cost above ``face_tol`` (one
-    number, or one per column) are fixed at zero, and each coordinate is
-    minimized and maximized by phase 2 from the final basis.  Returns
+    Nonbasic columns with a final reduced cost above ``face_tol`` are
+    fixed at zero, and each coordinate is minimized and maximized by
+    phase 2 from the final basis.  Returns
     ``(result, ranges, face_columns, range_pivots)`` with ``ranges[i] =
     [min, max]`` (inf for an unbounded maximum).  Raises ``SolverError``
     unless the LP has an optimum.

@@ -71,6 +71,8 @@ def monte_carlo(
     n_min, n_max = n_range
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if not 2 <= n_min <= n_max <= 10:
         raise ValidationError(f"need 2 <= n_min <= n_max <= 10, got [{n_min}, {n_max}]")
     if force_no_winner and n_min < 3:

@@ -48,6 +48,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"n must be positive, got {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not 0.5 < self.strength_low <= self.strength_high < 1.0:
             raise ValidationError(
                 f"need 1/2 < strength_low <= strength_high < 1, got "

@@ -30,7 +30,7 @@ from .core import (
     make_policy,
     validate_preferences,
 )
-from .solver import DEFAULT_VERIFY_TOL, NashReport, SolverError, _span, solve_maximin
+from .solver import DEFAULT_VERIFY_TOL, NashReport, SolverError, _unit_span, solve_maximin
 
 logger = logging.getLogger(__name__)
 
@@ -46,10 +46,12 @@ class BTLModel(Record):
 class KKTCertificate(Record):
     """Stationarity evidence that a target policy is a maximin solution.
 
+    ``t`` is the target's guarantee: every column payoff is at least
+    ``t``, and ``column_slacks`` (column payoff minus ``t``) are >= 0.
     ``u`` re-weights the columns so that every row payoff equals ``t``,
-    while the target keeps every column payoff at most ``t`` and puts
-    weight only on tight columns.  ``u`` is None when no such weighting
-    exists; infeasibility is a result, not an error.
+    which proves the target optimal; it puts weight only on columns with
+    zero slack.  ``u`` is None when no such weighting exists;
+    infeasibility is a result, not an error.
     """
 
     u: Policy | None
@@ -193,13 +195,12 @@ def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpe
 def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     """Check whether ``target`` is a maximin solution of ``payoff``.
 
-    The certificate value is pinned at the maximum column payoff under the
-    target, which complementary slackness forces; the column weights are
-    then restricted to tight columns and the remaining equalization system
-    is solved as a pure feasibility LP.  ``DEFAULT_VERIFY_TOL`` is relative
-    to the payoff span, and the system is solved on the payoff mapped to
-    [0, 1] (the same weights solve it), so the verdict does not change
-    under a positive affine map of the payoff.
+    ``t`` is the target's guarantee min_j (wᵀA)_j, and column weights ``u``
+    must solve A u = t 1: the maximin KKT system of a full-support target,
+    since wᵀA u = t with wᵀA >= t puts ``u`` only where wᵀA = t.  It is one
+    feasibility LP on the payoff mapped onto [0, 1] (the same ``u`` solves
+    it) with ``DEFAULT_VERIFY_TOL`` relative to the span, so the verdict
+    does not change under a positive affine map of the payoff.
     """
     if target.n != payoff.n:
         raise ValidationError(
@@ -209,45 +210,32 @@ def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     a = payoff.a
     n = payoff.n
     column_payoffs = w @ a
-    t = float(np.max(column_payoffs))
-    column_slacks = column_payoffs - t
-    low, span = a.min(), _span(a)
-    tol = DEFAULT_VERIFY_TOL * span
-    tight = np.flatnonzero(column_slacks >= -tol)
-    k = tight.size
-
-    a_eq = np.zeros((n + 1, k))
-    a_eq[:n, :] = (a[:, tight] - low) / span
-    a_eq[n, :] = 1.0
-    b_eq = np.concatenate([np.full(n, (t - low) / span), [1.0]])
-    result = solve_standard_lp(np.zeros(k), a_eq, b_eq)
+    t = float(np.min(column_payoffs))
+    column_slacks = _as_readonly(column_payoffs - t)
+    unit, low, span = _unit_span(a)
+    a_eq = np.vstack([unit, np.ones(n)])
+    b_eq = np.r_[np.full(n, (t - low) / span), 1.0]
+    result = solve_standard_lp(np.zeros(n), a_eq, b_eq)
     if result.status == INFEASIBLE:
-        logger.debug("kkt infeasible: n=%d t=%.12g tight=%d", n, t, k)
+        logger.debug("kkt infeasible: n=%d t=%.12g", n, t)
         return KKTCertificate(
-            u=None,
-            t=t,
-            column_slacks=_as_readonly(column_slacks),
-            complementarity_residual=None,
-            feasible=False,
+            u=None, t=t, column_slacks=column_slacks, complementarity_residual=None, feasible=False
         )
     if result.status != OPTIMAL:
         raise SolverError(f"KKT feasibility LP ended with status {result.status}")
 
-    u = np.zeros(n)
-    u[tight] = np.clip(result.x, 0.0, None)
+    u = np.clip(result.x, 0.0, None)
     u /= u.sum()
-    row_payoffs = a @ u
-    row_residual = float(np.max(np.abs(row_payoffs - t)))
-    # ``u`` lives on tight columns, whose slacks lie in [-tol, 0], and
-    # u <= 1, so complementarity holds by construction; it is reported only.
-    complementarity = float(np.max(np.abs(u * column_slacks)))
-    feasible = row_residual <= tol
+    row_residual = float(np.max(np.abs(a @ u - t)))
+    # Slacks and weights are nonnegative, and sum_j u_j slack_j = wᵀ(A u - t 1),
+    # which is at most the row residual; complementarity is reported only.
+    complementarity = float(np.max(u * column_slacks))
     return KKTCertificate(
         u=Policy(n=n, w=_as_readonly(u)),
         t=t,
-        column_slacks=_as_readonly(column_slacks),
+        column_slacks=column_slacks,
         complementarity_residual=complementarity,
-        feasible=feasible,
+        feasible=row_residual <= DEFAULT_VERIFY_TOL * span,
     )
 
 
@@ -257,8 +245,8 @@ def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     The gap is the total-variation distance between the solver's row
     strategy and the target.  The attached certificate matters when the gap
     is positive: the target could still be an optimal strategy the solver
-    simply did not return, and only an infeasible certificate rules that
-    out.
+    simply did not return.  A feasible certificate proves the target
+    optimal, and an infeasible one rules that out.
     """
     payoff = ratio_payoff(spec, target)
     nash = solve_maximin(payoff)

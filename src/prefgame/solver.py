@@ -79,6 +79,12 @@ def _span(a: np.ndarray) -> float:
     return float(a.max() - a.min()) or 1.0
 
 
+def _unit_span(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``((a - low) / span, low, span)``: the payoff on [0, 1], where affine maps of ``a`` do not move it."""
+    low, span = float(a.min()), _span(a)
+    return (a - low) / span, low, span
+
+
 def _maximin_program(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row player's LP on payoff array ``a`` as ``(c, a_eq, b_eq)``.
 
@@ -174,12 +180,12 @@ def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessRepor
     """Measure the optimal-strategy polytope around a solved game.
 
     Each strategy weight is bounded over the row LP's optimal face, taken
-    on the payoff as given with ``DEFAULT_SOLVER_TOL`` (times the payoff
-    span where in payoff units) as the reduced-cost tolerance.  ``unique``
-    holds when every coordinate is pinned to width at most
-    ``DEFAULT_VERIFY_TOL``; the dual-support flag records whether every
-    column weight of the opponent's strategy is active, the full-support
-    condition tied to uniqueness.
+    on the payoff mapped onto [0, 1] with ``DEFAULT_SOLVER_TOL`` as the
+    reduced-cost tolerance, so the ranges do not move under a positive
+    affine map of the payoff.  ``unique`` holds when every coordinate is
+    pinned to width at most ``DEFAULT_VERIFY_TOL``; the dual-support flag
+    records whether every column weight of the opponent's strategy is
+    active, the full-support condition tied to uniqueness.
     """
     a = payoff.a
     n = payoff.n
@@ -190,13 +196,10 @@ def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessRepor
     w = nash.row_strategy.w
     column_slacks = w @ a - nash.value
     dual_support_full = bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD))
-    span = _span(a)
-    # The strategy columns' reduced costs are in payoff units; those of the
-    # epigraph and surplus columns are column-strategy weights.
-    face_tol = DEFAULT_SOLVER_TOL * np.r_[np.full(n, span), np.ones(n + 2)]
-    result, ranges, face_columns, range_pivots = optimal_face_ranges(*_maximin_program(a), n, face_tol)
-    if abs(-result.objective - nash.value) > DEFAULT_VERIFY_TOL * span:
-        raise SolverError(f"the payoff's value {-result.objective} is not the report's {nash.value}")
+    unit, low, span = _unit_span(a)
+    result, ranges, face_columns, range_pivots = optimal_face_ranges(*_maximin_program(unit), n, DEFAULT_SOLVER_TOL)
+    if abs(-result.objective - (nash.value - low) / span) > DEFAULT_VERIFY_TOL:
+        raise SolverError(f"the payoff's value {low - result.objective * span} is not the report's {nash.value}")
     logger.debug(
         "uniqueness probed: n=%d face_columns=%d pivots=%d range_pivots=%d",
         n,

@@ -34,24 +34,18 @@ def _support_system(a: np.ndarray, own: tuple[int, ...], other: tuple[int, ...],
     return sol[:k], residual
 
 
-def enumerate_equilibria(
-    payoff: PayoffMatrix,
-    max_n: int = DEFAULT_MAX_ENUM_N,
-    tolerance: float = DEFAULT_VERIFY_TOL,
-) -> list[tuple[Policy, Policy, float]]:
-    """Brute-force all equilibria reachable through support enumeration.
+def _equilibria(payoff: PayoffMatrix, max_n: int, tolerance: float):
+    """Yield ``(x, y)`` for each support pair whose equalizers form an equilibrium.
 
     Tries every pair of row/column supports, including unequal sizes, which
     degenerate games need.  Candidates must solve their equalization systems
     consistently, be nonnegative, and pass the best-response gap test.
-    Near-duplicate strategy pairs (within L-inf 1e-7) are merged.
     """
     n = payoff.n
     if n > max_n:
         raise ValidationError(f"support enumeration limited to n <= {max_n}, got n={n}")
     a = payoff.a
     indices = range(n)
-    found: list[tuple[np.ndarray, np.ndarray, float]] = []
     supports = [
         tuple(comb) for size in range(1, n + 1) for comb in itertools.combinations(indices, size)
     ]
@@ -72,15 +66,39 @@ def enumerate_equilibria(
             x /= x.sum()
             y /= y.sum()
             gap = float(np.max(a @ y)) - float(np.min(x @ a))
-            if abs(gap) > tolerance:
-                continue
-            if any(
-                np.max(np.abs(x - fx)) <= DEDUP_TOL and np.max(np.abs(y - fy)) <= DEDUP_TOL
-                for fx, fy, _ in found
-            ):
-                continue
-            found.append((x, y, float(x @ a @ y)))
+            if abs(gap) <= tolerance:
+                yield x, y
+
+
+def enumerate_equilibria(
+    payoff: PayoffMatrix,
+    max_n: int = DEFAULT_MAX_ENUM_N,
+    tolerance: float = DEFAULT_VERIFY_TOL,
+) -> list[tuple[Policy, Policy, float]]:
+    """Brute-force all equilibria reachable through support enumeration.
+
+    Near-duplicate strategy pairs (within L-inf 1e-7) are merged.
+    """
+    found: list[tuple[np.ndarray, np.ndarray, float]] = []
+    for x, y in _equilibria(payoff, max_n, tolerance):
+        if any(
+            np.max(np.abs(x - fx)) <= DEDUP_TOL and np.max(np.abs(y - fy)) <= DEDUP_TOL
+            for fx, fy, _ in found
+        ):
+            continue
+        found.append((x, y, float(x @ payoff.a @ y)))
+    n = payoff.n
     return [
         (Policy(n=n, w=_as_readonly(x)), Policy(n=n, w=_as_readonly(y)), value)
         for x, y, value in found
     ]
+
+
+def game_value(payoff: PayoffMatrix) -> float:
+    """The value at the first equilibrium support enumeration finds.
+
+    Every equilibrium of a zero-sum game has the same value, so this stops
+    early where a degenerate game has thousands of them.
+    """
+    x, y = next(_equilibria(payoff, DEFAULT_MAX_ENUM_N, DEFAULT_VERIFY_TOL))
+    return float(x @ payoff.a @ y)

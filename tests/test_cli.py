@@ -461,6 +461,15 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["gen", "random", "--seed", "-1"], ["monte-carlo", "--seed", "-5"]], ids=["gen-random", "monte-carlo"]
+)
+def test_negative_seed_is_a_typed_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be non-negative, got {argv[-1]}\n"
+
+
 # Every JSON input a subcommand reads, with {bad} in one place and good files elsewhere.
 JSON_INPUTS = pytest.mark.parametrize(
     "argv",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
+from support_enumeration import game_value
 
 
 def test_make_btl_rejects_nonfinite():
@@ -114,8 +115,33 @@ class TestKKT:
         assert cert.feasible is False
         assert cert.u is None
         assert cert.complementarity_residual is None
-        assert cert.t == pytest.approx(0.9)
-        np.testing.assert_allclose(cert.column_slacks, [-0.8, 0.0], atol=1e-12)
+        assert cert.t == pytest.approx(0.1)
+        np.testing.assert_allclose(cert.column_slacks, [0.0, 0.8], atol=1e-12)
+
+    def test_target_below_the_value_is_not_certified(self):
+        # The uniform target guarantees -1/3 against a value of 0.  Pinning t
+        # at the largest column payoff, 1, certified it anyway.
+        pay = pg.make_payoff([[1.0, 1.0, -1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        cert = pg.kkt_verify(pay, pg.Policy.uniform(3))
+        assert cert.feasible is False
+        assert cert.t == -1.0 / 3.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_verdict_is_whether_the_target_attains_the_value(self, data):
+        n = data.draw(st.integers(2, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            a = data.draw(arrays(np.float64, (n, n), elements=st.integers(-3, 3).map(float)))
+        else:
+            a = rng.random((n, n))
+        pay = pg.make_payoff(a)
+        w = pg.solve_maximin(pay).row_strategy.w
+        target = pg.make_policy(w if np.all(w > 0.0) else rng.dirichlet(np.ones(n)))
+        value = game_value(pay)
+        span = float(a.max() - a.min()) or 1.0
+        guarantee = float(np.min(target.w @ a))
+        assert pg.kkt_verify(pay, target).feasible == (guarantee >= value - 1e-8 * span)
 
     def test_feasible_uniform_cycle(self):
         pay = pg.apply_mapping(

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
 from prefgame import solver
@@ -268,6 +271,27 @@ class TestUniqueness:
                 report = pg.uniqueness_report(pay, pg.solve_maximin(pay))
                 assert report.unique, (stream, n, k)
                 np.testing.assert_allclose(report.coordinate_ranges, np.column_stack([w, w]), rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_report_does_not_move_under_affine_maps(self, data):
+        # The face is taken on the payoff mapped onto [0, 1], which a·A + b
+        # leaves in place.  The solve itself is not affine-robust, so the
+        # scaled report reuses the unscaled solve with its value mapped.
+        n = data.draw(st.integers(2, 6))
+        a = data.draw(arrays(np.float64, (n, n), elements=st.integers(-3, 3).map(float)))
+        if data.draw(st.booleans()):
+            a[-1] = a[0]
+        scale = 10.0 ** data.draw(st.floats(-9.0, 9.0))
+        pay = pg.make_payoff(a)
+        nash = pg.solve_maximin(pay)
+        report = pg.uniqueness_report(pay, nash)
+        scaled = pg.uniqueness_report(
+            pg.make_payoff(scale * a + 0.5 * scale),
+            dataclasses.replace(nash, value=scale * nash.value + 0.5 * scale),
+        )
+        assert scaled.unique == report.unique
+        np.testing.assert_allclose(scaled.coordinate_ranges, report.coordinate_ranges, rtol=0.0, atol=1e-9)
 
 
 # The reference's floor sits this far below the value, to absorb float error
