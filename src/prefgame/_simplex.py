@@ -122,7 +122,13 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     buf = np.empty_like(work)
     iterations, status = _iterate(work, buf, basis, n + m, 0)
     if status != OPTIMAL:
-        raise SolverError("phase-1 subproblem cannot be unbounded")
+        # Phase 1 is bounded below by zero, so this is round-off in the
+        # reduced costs.  Recomputed from the rows of the basic artificials,
+        # they can still prove the LP infeasible; otherwise the solve failed.
+        red[:] = -work[:m][basis >= n].sum(axis=0)
+        red[n : n + m] += 1.0
+        if (red[: n + m] < -PIVOT_TOL).any() or -red[-1] <= FEAS_TOL:
+            raise SolverError("phase-1 subproblem cannot be unbounded")
     artificial_mass = -red[-1]
     if artificial_mass > FEAS_TOL:
         return None, None, iterations

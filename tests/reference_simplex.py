@@ -55,7 +55,10 @@ def _phase_one(a, b):
     red[n : n + m] += 1.0
     iterations, status = _iterate(tableau, red, basis, n + m, 0)
     if status != OPTIMAL:
-        raise SolverError("phase-1 subproblem cannot be unbounded")
+        red = -tableau[basis >= n].sum(axis=0)
+        red[n : n + m] += 1.0
+        if (red[: n + m] < -PIVOT_TOL).any() or -red[-1] <= FEAS_TOL:
+            raise SolverError("phase-1 subproblem cannot be unbounded")
     artificial_mass = -red[-1]
     if artificial_mass > FEAS_TOL:
         return None, None, iterations

@@ -114,6 +114,21 @@ def test_infeasible_lps(data):
         assert result.status == INFEASIBLE
 
 
+def test_infeasible_lp_after_a_tiny_pivot():
+    # Rows 0 and 5 differ only in b.  Phase 1 pivots on the 1e-9 entry, and
+    # the round-off in its reduced costs makes it look unbounded; recomputed
+    # from the artificial rows, they prove the LP infeasible.
+    a = np.zeros((6, 9))
+    a[0, [0, 7]] = [1e-9, -1.0]
+    a[1, [0, 8]] = [-1.0, 1.0]
+    a[3, [6, 7, 8]] = [1.0, 1.0, -1.0]
+    a[5] = a[0]
+    b = np.array([0.0, -1.0, 0.0, 0.0, 0.0, -1.0])
+    (result,) = assert_same([np.zeros(9)], a, b)
+    assert isinstance(result, LPResult), result
+    assert result.status == INFEASIBLE
+
+
 def test_every_status_in_one_sweep():
     # The kinds of LP above do reach every status, including different
     # statuses for objectives over the same constraints.
