@@ -2,9 +2,11 @@
 
 Solves min c.x subject to A x = b, x >= 0.  Phase 1 minimizes the mass of
 artificial variables to find a basic feasible point; phase 2 optimizes the
-real objective.  Pivots follow Bland's rule (smallest eligible index both
-entering and leaving), which rules out cycling, so the iteration cap is a
-backstop against bugs rather than a tuning knob.
+real objective.  The optimal-face LP max 1.y subject to A y <= 1, y >= 0,
+with A in [1, 2], starts from its slack basis, which is feasible, so it
+runs phase 2 alone.  Pivots follow Bland's rule (smallest eligible index
+both entering and leaving), which rules out cycling, so the iteration cap
+is a backstop against bugs rather than a tuning knob.
 
 Problem sizes here are tiny (tens of variables), so everything is dense.
 Every feasible x has c.x = optimum + sum d_j x_j over the final reduced
@@ -168,8 +170,12 @@ def _phase_two(c: np.ndarray, work: np.ndarray, basis: np.ndarray, iterations: i
     return LPResult(OPTIMAL, x, float(c @ x), total)
 
 
-def _solve(c, a_eq, b_eq):
-    """``solve_standard_lp`` that also returns the final work array and basis, None if infeasible."""
+def solve_standard_lp(c, a_eq, b_eq) -> LPResult:
+    """Solve min c.x with A x = b, x >= 0.
+
+    The status is ``optimal``, ``infeasible`` (phase-1 artificial mass above
+    ``FEAS_TOL``) or ``unbounded``, where ``x`` and ``objective`` mean nothing.
+    """
     c = np.asarray(c, dtype=float)
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -183,41 +189,36 @@ def _solve(c, a_eq, b_eq):
 
     work, basis, iterations = _phase_one(a, b)
     if work is None:
-        return LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations), None, None
-    return _phase_two(c, work, basis, iterations), work, basis
+        return LPResult(INFEASIBLE, np.zeros(n), float("nan"), iterations)
+    return _phase_two(c, work, basis, iterations)
 
 
-def solve_standard_lp(c, a_eq, b_eq) -> LPResult:
-    """Solve min c.x with A x = b, x >= 0.
+def optimal_face_ranges(a: np.ndarray, face_tol: float):
+    """Solve max 1.y with A y <= 1, y >= 0, then bound each y_i over its optimal face.
 
-    The status is ``optimal``, ``infeasible`` (phase-1 artificial mass above
-    ``FEAS_TOL``) or ``unbounded``, where ``x`` and ``objective`` mean nothing.
+    For entries of ``a`` in [1, 2] the slack basis is feasible and y <= 1
+    bounds every LP here, so phase 2 alone finds each optimum (Dantzig
+    1951).  Nonbasic columns with a final reduced cost above ``face_tol``
+    are fixed at zero, and each y_i is minimized and maximized by phase 2
+    from the final basis.  Returns ``(result, ranges, face_columns,
+    range_pivots)`` with ``ranges[i] = [min, max]``.
     """
-    return _solve(c, a_eq, b_eq)[0]
-
-
-def optimal_face_ranges(c, a_eq, b_eq, k: int, face_tol: float):
-    """Solve min c.x with A x = b, x >= 0, then bound x_0 .. x_{k-1} over its optimal face.
-
-    Nonbasic columns with a final reduced cost above ``face_tol`` are
-    fixed at zero, and each coordinate is minimized and maximized by
-    phase 2 from the final basis.  Returns
-    ``(result, ranges, face_columns, range_pivots)`` with ``ranges[i] =
-    [min, max]`` (inf for an unbounded maximum).  Raises ``SolverError``
-    unless the LP has an optimum.
-    """
-    result, work, basis = _solve(c, a_eq, b_eq)
+    m, n = a.shape
+    work = np.zeros((m + 1, n + m + 1))
+    work[:m] = np.hstack([a, np.eye(m), np.ones((m, 1))])
+    basis = np.arange(n, n + m)
+    result = _phase_two(np.r_[np.full(n, -1.0), np.zeros(m)], work, basis, 0)
     if result.status != OPTIMAL:
         raise SolverError(f"LP ended with status {result.status}; it has no optimal face")
     kept = work[-1, : result.x.size] <= face_tol
     face = work[:, np.r_[kept, True]]
     position = np.cumsum(kept) - 1
     unit = np.eye(int(kept.sum()))
-    ranges = np.zeros((k, 2))
+    ranges = np.zeros((n, 2))
     range_pivots = 0
-    for i in np.flatnonzero(kept[:k]):
+    for i in np.flatnonzero(kept[:n]):
         for side, sign in enumerate((1.0, -1.0)):
             bound = _phase_two(sign * unit[position[i]], face.copy(), position[basis], 0)
             range_pivots += bound.iterations
-            ranges[i, side] = bound.x[position[i]] if bound.status == OPTIMAL else -sign * np.inf
+            ranges[i, side] = bound.x[position[i]]
     return result, ranges, len(unit), range_pivots

@@ -56,8 +56,9 @@ class UniquenessReport(Record):
     """Optimal-polytope geometry around a solved game.
 
     ``coordinate_ranges[i]`` is the [min, max] of the i-th strategy weight
-    over the row LP's optimal face, all optimal row strategies; ``unique``
-    means every range has width at most ``DEFAULT_VERIFY_TOL``.
+    over all optimal row strategies, read off the optimal face of Dantzig's
+    LP for the row player; ``unique`` means every range has width at most
+    ``DEFAULT_VERIFY_TOL``.
     """
 
     unique: bool
@@ -179,13 +180,14 @@ def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
 def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessReport:
     """Measure the optimal-strategy polytope around a solved game.
 
-    Each strategy weight is bounded over the row LP's optimal face, taken
-    on the payoff mapped onto [0, 1] with ``DEFAULT_SOLVER_TOL`` as the
-    reduced-cost tolerance, so the ranges do not move under a positive
-    affine map of the payoff.  ``unique`` holds when every coordinate is
-    pinned to width at most ``DEFAULT_VERIFY_TOL``; the dual-support flag
-    records whether every column weight of the opponent's strategy is
-    active, the full-support condition tied to uniqueness.
+    Each strategy weight is bounded over the optimal face of Dantzig's LP
+    max 1ᵀy subject to (2 - Âᵀ) y <= 1, y >= 0, where Â is the payoff
+    mapped onto [0, 1], with ``DEFAULT_SOLVER_TOL`` as the reduced-cost
+    tolerance, so the ranges do not move under a positive affine map of
+    the payoff.  ``unique`` holds when every coordinate is pinned to width
+    at most ``DEFAULT_VERIFY_TOL``; the dual-support flag records whether
+    every column weight of the opponent's strategy is active, the
+    full-support condition tied to uniqueness.
     """
     a = payoff.a
     n = payoff.n
@@ -193,13 +195,19 @@ def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessRepor
         raise ValidationError(
             f"dimension mismatch: payoff n={n}, report n={nash.row_strategy.n} and n={nash.col_strategy.n}"
         )
+    if not np.isfinite(a).all():
+        raise SolverError("LP inputs must be finite")
     w = nash.row_strategy.w
     column_slacks = w @ a - nash.value
     dual_support_full = bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD))
     unit, low, span = _unit_span(a)
-    result, ranges, face_columns, range_pivots = optimal_face_ranges(*_maximin_program(unit), n, DEFAULT_SOLVER_TOL)
-    if abs(-result.objective - (nash.value - low) / span) > DEFAULT_VERIFY_TOL:
-        raise SolverError(f"the payoff's value {low - result.objective * span} is not the report's {nash.value}")
+    # Dantzig's LP: y / sum(y) ranges over the optimal row strategies, and
+    # sum(y) is 1 / (2 - value) on the whole face.
+    result, ranges, face_columns, range_pivots = optimal_face_ranges(2.0 - unit.T, DEFAULT_SOLVER_TOL)
+    value = 2.0 + 1.0 / result.objective
+    if abs(value - (nash.value - low) / span) > DEFAULT_VERIFY_TOL:
+        raise SolverError(f"the payoff's value {low + value * span} is not the report's {nash.value}")
+    ranges /= -result.objective
     logger.debug(
         "uniqueness probed: n=%d face_columns=%d pivots=%d range_pivots=%d",
         n,

@@ -79,18 +79,19 @@ def enumerate_equilibria(
 
     Near-duplicate strategy pairs (within L-inf 1e-7) are merged.
     """
-    found: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for x, y in _equilibria(payoff, max_n, tolerance):
-        if any(
-            np.max(np.abs(x - fx)) <= DEDUP_TOL and np.max(np.abs(y - fy)) <= DEDUP_TOL
-            for fx, fy, _ in found
-        ):
-            continue
-        found.append((x, y, float(x @ payoff.a @ y)))
     n = payoff.n
+    # Row i holds the i-th kept pair as [x, y], so each candidate is compared
+    # with every kept pair in one array operation.
+    kept = np.empty((0, 2 * n))
+    for x, y in _equilibria(payoff, max_n, tolerance):
+        pair = np.r_[x, y]
+        distance = np.abs(kept - pair)
+        if np.any((distance[:, :n].max(axis=1) <= DEDUP_TOL) & (distance[:, n:].max(axis=1) <= DEDUP_TOL)):
+            continue
+        kept = np.vstack([kept, pair])
     return [
-        (Policy(n=n, w=_as_readonly(x)), Policy(n=n, w=_as_readonly(y)), value)
-        for x, y, value in found
+        (Policy(n=n, w=_as_readonly(x)), Policy(n=n, w=_as_readonly(y)), float(x @ payoff.a @ y))
+        for x, y in zip(kept[:, :n], kept[:, n:])
     ]
 
 

@@ -433,29 +433,35 @@ def test_monte_carlo_solver_error_names_the_trial(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: exploitability 1 exceeds 1e-09")
 
 
+SOLVE_PREF = ["solve", "--pref", "{bad}", "--psi", "identity"]
+
+
 @pytest.mark.parametrize(
-    "name,content,role",
+    "name,content,argv",
     [
-        ("cell.csv", "0.5,x\n0.5,0.5\n", "pref"),
-        ("ragged.json", json.dumps({"p": [[0.5, 0.9, 0.1], [0.1, 0.5]]}), "pref"),
-        ("power.json", json.dumps({"kind": "power", "k": "x"}), "psi"),
-        ("declared.json", json.dumps({"n": "abc", "p": RPS}), "pref"),
-        ("declared.json", json.dumps({"n": 3.7, "p": RPS}), "pref"),
-        ("declared.json", json.dumps({"n": True, "p": [[0.5]]}), "pref"),
-        ("declared.json", json.dumps({"n": float("inf"), "p": RPS}), "pref"),
+        ("cell.csv", "0.5,x\n0.5,0.5\n", SOLVE_PREF),
+        ("ragged.json", json.dumps({"p": [[0.5, 0.9, 0.1], [0.1, 0.5]]}), SOLVE_PREF),
+        ("power.json", json.dumps({"kind": "power", "k": "x"}), ["solve", "--pref", "{pref}", "--psi", "{bad}"]),
+        ("declared.json", json.dumps({"n": "abc", "p": RPS}), SOLVE_PREF),
+        ("declared.json", json.dumps({"n": 3.7, "p": RPS}), SOLVE_PREF),
+        ("declared.json", json.dumps({"n": True, "p": [[0.5]]}), SOLVE_PREF),
+        ("declared.json", json.dumps({"n": float("inf"), "p": RPS}), SOLVE_PREF),
+        # numpy reads true as 1.0, which made these valid numbers.
+        ("boolean.json", json.dumps({"n": 2, "p": [[0.5, True], [False, 0.5]]}), SOLVE_PREF),
+        ("target.json", json.dumps({"w": [True]}), ["kkt", "--payoff", "{payoff}", "--target", "{bad}"]),
+        ("rewards.json", json.dumps({"rewards": [True, 2]}), ["btl", "--rewards", "{bad}"]),
     ],
     ids=[
         "csv-cell", "ragged-matrix", "mapping-field", "declared-n", "declared-n-fraction", "declared-n-boolean",
-        "declared-n-infinite",
+        "declared-n-infinite", "preference-boolean", "kkt-target-boolean", "btl-rewards-boolean",
     ],
 )
-def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, role):
-    good = tmp_path / "rps.json"
-    good.write_text(json.dumps({"n": 3, "p": RPS}))
-    bad = tmp_path / name
-    bad.write_text(content)
-    inputs = {"pref": str(good), "psi": "identity", role: str(bad)}
-    assert run(["solve", "--pref", inputs["pref"], "--psi", inputs["psi"]]) == 2
+def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, argv):
+    paths = {"pref": tmp_path / "rps.json", "payoff": tmp_path / "one.json", "bad": tmp_path / name}
+    paths["pref"].write_text(json.dumps({"n": 3, "p": RPS}))
+    paths["payoff"].write_text(json.dumps({"a": [[1.0]]}))
+    paths["bad"].write_text(content)
+    assert run([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -150,6 +150,12 @@ def test_make_payoff_rejects_nonfinite():
         pg.make_payoff([[0.0, 1.0, 2.0]])
 
 
+def test_boolean_array_is_not_a_payoff():
+    # An array is judged by its dtype alone; nested lists are checked in the CLI tests.
+    with pytest.raises(pg.ValidationError, match="not booleans"):
+        pg.make_payoff(np.eye(2, dtype=bool))
+
+
 def test_apply_mapping_entrywise():
     pref = pg.validate_preferences(RPS)
     pay = pg.apply_mapping(pref, pg.identity())

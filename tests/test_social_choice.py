@@ -25,6 +25,9 @@ LAYERED = [
     [0.3, 0.3, 0.3, 0.4, 0.5],
 ]
 
+# Response i beats i + 1 and i + 2 (mod 5): one top group of all five.
+CYCLE5 = [[0.5 if i == j else 0.8 if (j - i) % 5 in (1, 2) else 0.2 for j in range(5)] for i in range(5)]
+
 
 def brute_minimal_dominant_set(p: np.ndarray) -> tuple[int, ...]:
     """Smallest set whose members all beat every outsider, by subset scan."""
@@ -230,6 +233,15 @@ class TestVerdict:
         assert v.smith_consistent is True
         assert v.is_mixed is True
         assert v.mass_outside_smith <= 1e-9
+
+    @pytest.mark.parametrize("pref_rows, game_rows", [(RPS, CYCLE5), (CYCLE5, RPS)], ids=["3-of-5", "5-of-3"])
+    def test_report_of_the_wrong_size_raises(self, pref_rows, game_rows):
+        # Each top group is every response, so an unchecked call returns a verdict.
+        pref = pg.validate_preferences(pref_rows)
+        nash = pg.solve_maximin(pg.apply_mapping(pg.validate_preferences(game_rows), pg.identity()))
+        n, m = len(pref_rows), len(game_rows)
+        with pytest.raises(pg.ValidationError, match=f"dimension mismatch: preferences n={n}, report n={m}"):
+            pg.consistency_verdict(pref, nash)
 
     def test_dict_shape(self):
         pref = pg.validate_preferences(RPS)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
-from prefgame import solver
+from prefgame import _simplex, solver
 from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, optimal_face_ranges, solve_standard_lp
 from support_enumeration import enumerate_equilibria
 
@@ -247,9 +247,10 @@ class TestUniqueness:
             pg.uniqueness_report(rps_game(), nash)
 
     def test_face_tolerance_is_unit_free_on_surplus_columns(self):
-        # The span here is 1.4e9.  A surplus column's reduced cost is a column
-        # weight, at most 1, so a tolerance of 1e-9 times the span would keep
-        # every surplus column and leave the whole simplex as the face.
+        # The span here is 1.4e9.  A slack column's reduced cost is a column
+        # weight over 2 - value on the unit-span payoff, at most 1, so a
+        # tolerance of 1e-9 times the span would keep every slack column and
+        # leave the whole simplex as the face.
         w = pg.pm_policy(pg.make_btl(np.random.default_rng(28).normal(0.0, 1.0, size=8))).w
         pay = pg.make_payoff(1e9 * pg.construction_one(pg.make_policy(w)).a)
         report = pg.uniqueness_report(pay, pg.solve_maximin(pay))
@@ -371,33 +372,36 @@ class TestSharedPhaseOne:
         assert not flags["constant4"] and not flags["duplicated_row6"] and not flags["integer6"]
 
     def test_face_fixes_columns_with_positive_reduced_cost(self):
-        # min x0 + x1 s.t. x0 + x1 + x2 = 1: the face is x2 = 1 alone.
-        result, ranges, face_columns, _ = optimal_face_ranges(
-            [1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], 3, 1e-9
-        )
+        # max y0 + y1 s.t. y0 + 2 y1 <= 1: the face is y0 = 1 alone.
+        result, ranges, face_columns, _ = optimal_face_ranges(np.array([[1.0, 2.0]]), 1e-9)
         assert result.status == OPTIMAL and face_columns == 1
-        np.testing.assert_array_equal(ranges, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(ranges, [[1.0, 1.0], [0.0, 0.0]])
 
     def test_face_keeps_columns_with_zero_reduced_cost(self):
-        # min x2 s.t. x0 + x1 + x2 = 1: every point with x2 = 0 is optimal.
-        _, ranges, face_columns, range_pivots = optimal_face_ranges(
-            [0.0, 0.0, 1.0], [[1.0, 1.0, 1.0]], [1.0], 2, 1e-9
-        )
+        # max y0 + y1 s.t. y0 + y1 <= 1: every point with y0 + y1 = 1 is
+        # optimal, and only the slack is fixed.
+        _, ranges, face_columns, range_pivots = optimal_face_ranges(np.array([[1.0, 1.0]]), 1e-9)
         assert face_columns == 2 and range_pivots > 0
         np.testing.assert_array_equal(ranges, [[0.0, 1.0], [0.0, 1.0]])
 
-    def test_face_range_can_be_unbounded(self):
-        # min 0 s.t. x0 - x1 = 0: x0 runs up without bound.
-        _, ranges, _, _ = optimal_face_ranges([0.0, 0.0], [[1.0, -1.0]], [0.0], 1, 1e-9)
-        np.testing.assert_array_equal(ranges, [[0.0, np.inf]])
+    @pytest.mark.parametrize("name", ["rps", "duplicated_row6"])
+    def test_report_runs_no_phase_one(self, monkeypatch, name):
+        pay = SHARED_PHASE_ONE_GAMES[name]()
+        nash = pg.solve_maximin(pay)
 
-    @pytest.mark.parametrize(
-        "c, a, b, status",
-        [([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], INFEASIBLE), ([-1.0, 0.0], [[1.0, -1.0]], [0.0], UNBOUNDED)],
-    )
-    def test_face_needs_an_optimum(self, c, a, b, status):
-        with pytest.raises(pg.SolverError, match=f"ended with status {status}"):
-            optimal_face_ranges(c, a, b, 1, 1e-9)
+        def refuse(a, b):
+            raise AssertionError("uniqueness_report ran phase 1")
+
+        monkeypatch.setattr(_simplex, "_phase_one", refuse)
+        assert pg.uniqueness_report(pay, nash).unique == (name == "rps")
+
+    def test_non_finite_payoff_raises(self):
+        # Built around make_payoff's check.  Unchecked, the face LP reads this
+        # payoff as unique with ranges [0, 0] and [1, 1].
+        pay = pg.PayoffMatrix(n=2, a=np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        nash = pg.solve_maximin(pg.make_payoff(np.eye(2)))
+        with pytest.raises(pg.SolverError, match="must be finite"):
+            pg.uniqueness_report(pay, nash)
 
     def test_wrong_objective_length_raises(self):
         a = np.array([[1.0, 1.0]])
