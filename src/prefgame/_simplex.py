@@ -127,9 +127,11 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
         # Phase 1 is bounded below by zero, so this is round-off in the
         # reduced costs.  Recomputed from the rows of the basic artificials,
         # they can still prove the LP infeasible; otherwise the solve failed.
+        # A column improves only if it also has an entry to pivot on.
         red[:] = -work[:m][basis >= n].sum(axis=0)
         red[n : n + m] += 1.0
-        if (red[: n + m] < -PIVOT_TOL).any() or -red[-1] <= FEAS_TOL:
+        improving = (red[: n + m] < -PIVOT_TOL) & (work[:m, : n + m] > PIVOT_TOL).any(axis=0)
+        if improving.any() or -red[-1] <= FEAS_TOL:
             raise SolverError("phase-1 subproblem cannot be unbounded")
     artificial_mass = -red[-1]
     if artificial_mass > FEAS_TOL:

@@ -30,6 +30,7 @@ from .experiment import monte_carlo
 from .generators import GeneratorConfig, random_tournament, table_preferences
 from .mappings import MappingSpec, apply_mapping, check_conditions, mapping_from_dict
 from .preference_matching import (
+    BTLModel,
     btl_family,
     btl_preferences,
     degenerate_family,
@@ -63,16 +64,21 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _check_declared_n(path: str, data: dict, n: int) -> None:
-    if "n" not in data:
-        return
-    declared = data["n"]
+def _load_field(path: str, what: str, field: str, build):
+    """Wrap ``field`` of a JSON object ({"n", field}) with ``build``; a declared n must be its length."""
+    data = _load_json(path)
+    if field not in data:
+        raise ValidationError(f"{path}: {what} JSON needs a {field!r} field")
+    value = build(data[field])
+    n = len(data[field])
+    declared = data.get("n", n)
     # A JSON true is an int to Python; neither it nor 3.7 declares a size.
     integral = isinstance(declared, float) and declared.is_integer()
     if isinstance(declared, bool) or not (isinstance(declared, int) or integral):
         raise ValidationError(f"{path}: declared n={declared!r} is not an integer")
     if declared != n:
-        raise ValidationError(f"{path}: declared n={data['n']} but the data has n={n}")
+        raise ValidationError(f"{path}: declared n={declared} but the data has n={n}")
+    return value
 
 
 def _load_matrix(path: str, field: str, build):
@@ -83,12 +89,7 @@ def _load_matrix(path: str, field: str, build):
         except ValueError as exc:
             raise ValidationError(f"{path}: not a numeric CSV matrix: {exc}") from None
         return build(raw)
-    data = _load_json(path)
-    if field not in data:
-        raise ValidationError(f"{path}: matrix JSON needs a {field!r} field")
-    matrix = build(data[field])
-    _check_declared_n(path, data, matrix.n)
-    return matrix
+    return _load_field(path, "matrix", field, build)
 
 
 def load_preferences(path: str) -> PreferenceMatrix:
@@ -102,12 +103,7 @@ def load_payoff(path: str) -> PayoffMatrix:
 
 
 def load_policy(path: str) -> Policy:
-    data = _load_json(path)
-    if "w" not in data:
-        raise ValidationError(f"{path}: policy JSON needs a 'w' field")
-    policy = make_policy(data["w"])
-    _check_declared_n(path, data, policy.n)
-    return policy
+    return _load_field(path, "policy", "w", make_policy)
 
 
 def load_mapping(arg: str) -> MappingSpec:
@@ -198,20 +194,19 @@ def _cmd_verdict(args) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
-def _parse_rewards(arg: str):
+def _load_rewards(arg: str) -> BTLModel:
     if os.path.exists(arg):
-        data = _load_json(arg)
-        if "rewards" not in data:
-            raise ValidationError(f"{arg}: rewards JSON needs a 'rewards' field")
-        return data["rewards"]
+        return _load_field(arg, "rewards", "rewards", make_btl)
     try:
-        return [float(part) for part in arg.split(",") if part.strip()]
+        rewards = [float(part) for part in arg.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"rewards must be a JSON file or comma-separated floats, got {arg!r}")
+    # Outside the try: make_btl's ValidationError is a ValueError too.
+    return make_btl(rewards)
 
 
 def _cmd_btl(args) -> int:
-    model = make_btl(_parse_rewards(args.rewards))
+    model = _load_rewards(args.rewards)
     pref = btl_preferences(model)
     policy = pm_policy(model)
     emit({"preferences": pref.to_dict(), "pm_policy": policy.to_dict()}, args)

@@ -235,11 +235,14 @@ def make_policy(raw) -> Policy:
     return Policy(n=int(w.size), w=_as_readonly(w))
 
 
+def _require_same_n(name: str, n: int, others: str, *sizes: int) -> None:
+    """Raise "dimension mismatch: {name} n=…, {others} n=… and n=…" unless every size is ``n``."""
+    if any(size != n for size in sizes):
+        listed = " and ".join(f"n={size}" for size in sizes)
+        raise ValidationError(f"dimension mismatch: {name} n={n}, {others} {listed}")
+
+
 def total_payoff(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
     """Expected payoff of ``pi1`` against ``pi2``: the bilinear form w1' A w2."""
-    if pi1.n != payoff.n or pi2.n != payoff.n:
-        raise ValidationError(
-            f"dimension mismatch: payoff n={payoff.n}, "
-            f"policies n={pi1.n} and n={pi2.n}"
-        )
+    _require_same_n("payoff", payoff.n, "policies", pi1.n, pi2.n)
     return float(pi1.w @ payoff.a @ pi2.w)

@@ -62,11 +62,14 @@ def random_tournament(cfg: GeneratorConfig) -> PreferenceMatrix:
 
     Each unordered pair gets a fair-coin winner and a uniform preference
     strength.  With ``force_no_winner`` the draw repeats (advancing the
-    same stream) until no response beats all others; the attempt cap only
-    bites for sizes where that is impossible or vanishingly rare.
+    same stream) until no response beats all others.  Below three
+    responses that is impossible, and the call raises before any draw; the
+    attempt cap only bites for sizes where it is vanishingly rare.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     n = cfg.n
+    if cfg.force_no_winner and n < 3:
+        raise GenerationError(f"no tournament of size {n} is winner-free; force_no_winner needs n >= 3")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     rows, cols = np.triu_indices(n, 1)
     low, high = cfg.strength_low, cfg.strength_high
     for _ in range(REJECTION_CAP):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._simplex import INFEASIBLE, OPTIMAL, solve_standard_lp
+from ._simplex import INFEASIBLE, solve_standard_lp
 from .core import (
     MappingError,
     PayoffMatrix,
@@ -26,11 +26,12 @@ from .core import (
     ValidationError,
     _as_readonly,
     _float_array,
+    _require_same_n,
     make_payoff,
     make_policy,
     validate_preferences,
 )
-from .solver import DEFAULT_VERIFY_TOL, NashReport, SolverError, _unit_span, solve_maximin
+from .solver import DEFAULT_VERIFY_TOL, NashReport, _clean_policy, _unit_span, solve_maximin
 
 logger = logging.getLogger(__name__)
 
@@ -202,17 +203,14 @@ def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     it) with ``DEFAULT_VERIFY_TOL`` relative to the span, so the verdict
     does not change under a positive affine map of the payoff.
     """
-    if target.n != payoff.n:
-        raise ValidationError(
-            f"dimension mismatch: payoff n={payoff.n}, target n={target.n}"
-        )
+    _require_same_n("payoff", payoff.n, "target", target.n)
     w = _require_full_support(target, "kkt_verify")
     a = payoff.a
     n = payoff.n
+    unit, low, span = _unit_span(a)
     column_payoffs = w @ a
     t = float(np.min(column_payoffs))
     column_slacks = _as_readonly(column_payoffs - t)
-    unit, low, span = _unit_span(a)
     a_eq = np.vstack([unit, np.ones(n)])
     b_eq = np.r_[np.full(n, (t - low) / span), 1.0]
     result = solve_standard_lp(np.zeros(n), a_eq, b_eq)
@@ -221,17 +219,14 @@ def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
         return KKTCertificate(
             u=None, t=t, column_slacks=column_slacks, complementarity_residual=None, feasible=False
         )
-    if result.status != OPTIMAL:
-        raise SolverError(f"KKT feasibility LP ended with status {result.status}")
-
-    u = np.clip(result.x, 0.0, None)
-    u /= u.sum()
-    row_residual = float(np.max(np.abs(a @ u - t)))
+    # A zero objective makes phase 2 pivot-free, so the LP is optimal here.
+    u = _clean_policy(result.x)
+    row_residual = float(np.max(np.abs(a @ u.w - t)))
     # Slacks and weights are nonnegative, and sum_j u_j slack_j = wᵀ(A u - t 1),
     # which is at most the row residual; complementarity is reported only.
-    complementarity = float(np.max(u * column_slacks))
+    complementarity = float(np.max(u.w * column_slacks))
     return KKTCertificate(
-        u=Policy(n=n, w=_as_readonly(u)),
+        u=u,
         t=t,
         column_slacks=column_slacks,
         complementarity_residual=complementarity,

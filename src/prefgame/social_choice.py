@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PreferenceMatrix, Record, TieError, ValidationError
+from .core import PreferenceMatrix, Record, TieError, _require_same_n
 from .solver import NashReport
 
 MASS_TOL = 1e-6
@@ -109,8 +109,7 @@ def consistency_verdict(pref: PreferenceMatrix, nash: NashReport) -> Consistency
     The Condorcet winner is read off the decomposition: in a tournament a
     response beats every other one exactly when it forms the top group alone.
     """
-    if nash.row_strategy.n != pref.n:
-        raise ValidationError(f"dimension mismatch: preferences n={pref.n}, report n={nash.row_strategy.n}")
+    _require_same_n("preferences", pref.n, "report", nash.row_strategy.n)
     top = smith_decomposition(pref).top_group()
     winner = top[0] if len(top) == 1 else None
     outside = [i for i in range(pref.n) if i not in top]

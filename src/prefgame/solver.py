@@ -23,8 +23,8 @@ from .core import (
     Policy,
     Record,
     SolverError,
-    ValidationError,
     _as_readonly,
+    _require_same_n,
 )
 
 logger = logging.getLogger(__name__)
@@ -82,6 +82,8 @@ def _span(a: np.ndarray) -> float:
 
 def _unit_span(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``((a - low) / span, low, span)``: the payoff on [0, 1], where affine maps of ``a`` do not move it."""
+    if not np.isfinite(a).all():
+        raise SolverError("LP inputs must be finite")
     low, span = float(a.min()), _span(a)
     return (a - low) / span, low, span
 
@@ -170,10 +172,7 @@ def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
     of the row player's regret against ``pi2`` and the column player's
     regret against ``pi1``, in which the pair's own payoff cancels.
     """
-    if pi1.n != payoff.n or pi2.n != payoff.n:
-        raise ValidationError(
-            f"dimension mismatch: payoff n={payoff.n}, policies n={pi1.n} and n={pi2.n}"
-        )
+    _require_same_n("payoff", payoff.n, "policies", pi1.n, pi2.n)
     return float(np.max(payoff.a @ pi2.w) - np.min(pi1.w @ payoff.a))
 
 
@@ -191,16 +190,11 @@ def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessRepor
     """
     a = payoff.a
     n = payoff.n
-    if nash.row_strategy.n != n or nash.col_strategy.n != n:
-        raise ValidationError(
-            f"dimension mismatch: payoff n={n}, report n={nash.row_strategy.n} and n={nash.col_strategy.n}"
-        )
-    if not np.isfinite(a).all():
-        raise SolverError("LP inputs must be finite")
+    _require_same_n("payoff", n, "report", nash.row_strategy.n, nash.col_strategy.n)
+    unit, low, span = _unit_span(a)
     w = nash.row_strategy.w
     column_slacks = w @ a - nash.value
     dual_support_full = bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD))
-    unit, low, span = _unit_span(a)
     # Dantzig's LP: y / sum(y) ranges over the optimal row strategies, and
     # sum(y) is 1 / (2 - value) on the whole face.
     result, ranges, face_columns, range_pivots = optimal_face_ranges(2.0 - unit.T, DEFAULT_SOLVER_TOL)

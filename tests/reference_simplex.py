@@ -57,7 +57,8 @@ def _phase_one(a, b):
     if status != OPTIMAL:
         red = -tableau[basis >= n].sum(axis=0)
         red[n : n + m] += 1.0
-        if (red[: n + m] < -PIVOT_TOL).any() or -red[-1] <= FEAS_TOL:
+        improving = (red[: n + m] < -PIVOT_TOL) & (tableau[:, : n + m] > PIVOT_TOL).any(axis=0)
+        if improving.any() or -red[-1] <= FEAS_TOL:
             raise SolverError("phase-1 subproblem cannot be unbounded")
     artificial_mass = -red[-1]
     if artificial_mass > FEAS_TOL:

@@ -450,10 +450,12 @@ SOLVE_PREF = ["solve", "--pref", "{bad}", "--psi", "identity"]
         ("boolean.json", json.dumps({"n": 2, "p": [[0.5, True], [False, 0.5]]}), SOLVE_PREF),
         ("target.json", json.dumps({"w": [True]}), ["kkt", "--payoff", "{payoff}", "--target", "{bad}"]),
         ("rewards.json", json.dumps({"rewards": [True, 2]}), ["btl", "--rewards", "{bad}"]),
+        ("rewards.json", json.dumps({"n": 5, "rewards": [1, 2]}), ["btl", "--rewards", "{bad}"]),
     ],
     ids=[
         "csv-cell", "ragged-matrix", "mapping-field", "declared-n", "declared-n-fraction", "declared-n-boolean",
         "declared-n-infinite", "preference-boolean", "kkt-target-boolean", "btl-rewards-boolean",
+        "btl-rewards-declared-n",
     ],
 )
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, argv):

@@ -188,6 +188,28 @@ def test_total_payoff_known_value():
     assert pg.total_payoff(pay, x, y) == pytest.approx(0.25 * 1.5 + 0.75 * 3.5)
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("total_payoff", "dimension mismatch: payoff n=3, policies n=3 and n=2"),
+        ("best_response_gap", "dimension mismatch: payoff n=3, policies n=3 and n=2"),
+        ("uniqueness_report", "dimension mismatch: payoff n=3, report n=2 and n=2"),
+        ("kkt_verify", "dimension mismatch: payoff n=3, target n=2"),
+    ],
+)
+def test_dimension_mismatch_messages(name, message):
+    three, two = pg.Policy.uniform(3), pg.Policy.uniform(2)
+    args = {
+        "total_payoff": (three, two),
+        "best_response_gap": (three, two),
+        "uniqueness_report": (pg.solve_maximin(pg.make_payoff(np.eye(2))),),
+        "kkt_verify": (two,),
+    }[name]
+    with pytest.raises(pg.ValidationError) as info:
+        getattr(pg, name)(pg.make_payoff(np.eye(3)), *args)
+    assert str(info.value) == message
+
+
 @settings(deadline=None)
 @given(
     a=arrays(np.float64, (3, 3), elements=st.floats(-10.0, 10.0)),

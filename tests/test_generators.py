@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import prefgame as pg
+from prefgame import generators
 from prefgame.generators import REJECTION_CAP
 
 # Piecewise nodes of t + 4 (t - 1/2)^2 at every argument the blend and the
@@ -91,6 +92,19 @@ class TestRandomTournament:
     def test_force_no_winner_needs_three(self):
         with pytest.raises(pg.GenerationError):
             pg.random_tournament(pg.GeneratorConfig(n=2, seed=0, force_no_winner=True))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_force_no_winner_below_three_draws_nothing(self, monkeypatch, n):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return pg.validate_preferences(p)
+
+        monkeypatch.setattr(generators, "validate_preferences", counting)
+        with pytest.raises(pg.GenerationError, match="force_no_winner needs n >= 3"):
+            pg.random_tournament(pg.GeneratorConfig(n=n, seed=0, force_no_winner=True))
+        assert calls == []
 
 
 class TestTableGames:

@@ -154,6 +154,13 @@ class TestKKT:
         np.testing.assert_allclose(cert.u.w, 1.0 / 3.0, atol=1e-7)
         assert cert.complementarity_residual <= 1e-8
 
+    def test_non_finite_payoff_raises(self):
+        # Built around make_payoff's check.  Unchecked, mapping the payoff
+        # onto [0, 1] divides inf by inf.
+        pay = pg.PayoffMatrix(n=2, a=np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        with pytest.raises(pg.SolverError, match="must be finite"):
+            pg.kkt_verify(pay, pg.Policy.uniform(2))
+
     def test_interior_target_required(self):
         pay = pg.make_payoff(np.zeros((3, 3)))
         with pytest.raises(pg.ValidationError):

@@ -129,6 +129,16 @@ def test_infeasible_lp_after_a_tiny_pivot():
     assert result.status == INFEASIBLE
 
 
+def test_infeasible_lp_at_the_pivot_tolerance():
+    # The column's reduced cost, -2e-10, lets it enter, but neither entry is
+    # above PIVOT_TOL, so phase 1 looks unbounded.  With nothing to pivot on
+    # the column cannot improve, and the artificial mass of 0.5 proves the LP
+    # infeasible.
+    (result,) = assert_same([np.zeros(1)], np.array([[1e-10], [1e-10]]), np.array([0.0, 0.5]))
+    assert isinstance(result, LPResult), result
+    assert result.status == INFEASIBLE
+
+
 def test_every_status_in_one_sweep():
     # The kinds of LP above do reach every status, including different
     # statuses for objectives over the same constraints.
