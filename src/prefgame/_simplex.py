@@ -87,13 +87,24 @@ def _iterate(
             row = int(rows[0])
         else:
             ratios = work[rows, -1] / column[rows]
-            best = float(ratios.min())
+            # Indexing at argmin skips the Python wrapper of ``min``.
+            best = ratios[ratios.argmin()]
             ties = rows[ratios <= best + RATIO_TIE_TOL * max(1.0, abs(best))]
-            row = int(ties[basis[ties].argmin()])
+            row = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         _pivot(work, buf, basis, row, col)
         iterations += 1
         if iterations > MAX_ITER:
             raise SolverError("simplex iteration cap exceeded; anti-cycling pivoting should prevent this")
+
+
+def _unit_basis_work(a: np.ndarray, rhs) -> np.ndarray:
+    """The work array ``[a | I | rhs]`` over a zero last row: the tableau of a slack or artificial basis."""
+    m, n = a.shape
+    work = np.zeros((m + 1, n + m + 1))
+    work[:m, :n] = a
+    work[:m, n : n + m].flat[:: m + 1] = 1.0
+    work[:m, -1] = rhs
+    return work
 
 
 def _phase_one(a: np.ndarray, b: np.ndarray):
@@ -111,8 +122,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    work = np.zeros((m + 1, n + m + 1))
-    work[:m] = np.hstack([a, np.eye(m), b[:, None]])
+    work = _unit_basis_work(a, b)
     basis = np.arange(n, n + m)
 
     # Phase 1 reduced costs for artificial-sum objective: the basis is all
@@ -149,8 +159,10 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
             _pivot(work, buf, basis, i, int(usable.argmax()))
         else:
             keep[i] = False
-    columns = np.r_[:n, n + m]
-    return work[np.ix_(keep, columns)], basis[keep[:m]], iterations
+    # The right-hand side moves into the first artificial column, so the
+    # kept rows up to it are phase 2's work array.
+    work[:, n] = work[:, -1]
+    return work[keep, : n + 1], basis[keep[:m]], iterations
 
 
 def _phase_two(c: np.ndarray, work: np.ndarray, basis: np.ndarray, iterations: int) -> LPResult:
@@ -206,8 +218,7 @@ def optimal_face_ranges(a: np.ndarray, face_tol: float):
     range_pivots)`` with ``ranges[i] = [min, max]``.
     """
     m, n = a.shape
-    work = np.zeros((m + 1, n + m + 1))
-    work[:m] = np.hstack([a, np.eye(m), np.ones((m, 1))])
+    work = _unit_basis_work(a, 1.0)
     basis = np.arange(n, n + m)
     result = _phase_two(np.r_[np.full(n, -1.0), np.zeros(m)], work, basis, 0)
     if result.status != OPTIMAL:

@@ -9,6 +9,7 @@ a violation, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -272,7 +273,9 @@ def _cmd_monte_carlo(args) -> int:
     return EXIT_VIOLATION if summary.total_violations > 0 else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     # Every subcommand prints one report; the other flags go only on the
     # subcommands that read them.
     output = argparse.ArgumentParser(add_help=False)
@@ -363,8 +366,7 @@ def run(argv: list[str] | None = None) -> int:
     level = os.environ.get("PREFGAME_LOG")
     if level:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING), stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (PrefGameError, OSError) as exc:

@@ -26,7 +26,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MonteCarloSummary(Record):
-    """Tally of one seeded verification run."""
+    """Tally of one seeded verification run.
+
+    ``elapsed_ms`` is the run's wall-clock time, and ``layers_ms`` splits
+    the trials' share of it into ``generate``, ``map``, ``solve`` and
+    ``verdict`` milliseconds, each summed over the trials.  Both are
+    timings, which ``to_dict(include_timing=False)`` leaves out.
+    """
 
     trials: int
     seed: int
@@ -39,11 +45,12 @@ class MonteCarloSummary(Record):
     violations_mixed: int
     worst_mass_outside_smith: float
     elapsed_ms: int
+    layers_ms: dict
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = super().to_dict()
         if not include_timing:
-            del out["elapsed_ms"]
+            del out["elapsed_ms"], out["layers_ms"]
         return out
 
     @property
@@ -82,19 +89,27 @@ def monte_carlo(
     violations_smith = 0
     violations_mixed = 0
     worst_mass = 0.0
+    layers = dict.fromkeys(("generate", "map", "solve", "verdict"), 0.0)
     for trial in range(trials):
+        t0 = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
         n = int(rng.integers(n_min, n_max + 1))
         sub_seed = int(rng.integers(0, 2**63))
         cfg = GeneratorConfig(n=n, seed=sub_seed, force_no_winner=force_no_winner)
         pref = random_tournament(cfg)
+        t1 = time.perf_counter()
         payoff = apply_mapping(pref, mapping)
+        t2 = time.perf_counter()
         try:
             nash = solve_maximin(payoff)
         except SolverError as exc:
             # The message stays first so callers can still match on it.
             raise SolverError(f"{exc} (monte-carlo trial {trial}: n={n}, seed={sub_seed})") from exc
+        t3 = time.perf_counter()
         verdict = consistency_verdict(pref, nash)
+        t4 = time.perf_counter()
+        for layer, seconds in zip(layers, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            layers[layer] += seconds
         # In a tournament the top group has several members exactly when
         # there is no Condorcet winner.
         top_is_group = verdict.condorcet_winner is None
@@ -120,6 +135,7 @@ def monte_carlo(
         violations_mixed=violations_mixed,
         worst_mass_outside_smith=worst_mass,
         elapsed_ms=elapsed_ms,
+        layers_ms={layer: round(seconds * 1000.0, 3) for layer, seconds in layers.items()},
     )
 
 

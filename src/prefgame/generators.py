@@ -11,6 +11,7 @@ six-response game's two-cycle blend an exact equalizer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .core import (
     validate_preferences,
 )
 from .mappings import MappingSpec, apply_mapping
-from .social_choice import condorcet_winner
 
 REJECTION_CAP = 10_000
 
@@ -57,6 +57,15 @@ class GeneratorConfig:
             )
 
 
+@functools.lru_cache(maxsize=32)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j of n responses, in row-major order."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def random_tournament(cfg: GeneratorConfig) -> PreferenceMatrix:
     """Draw a strict random tournament, deterministic given the config.
 
@@ -70,19 +79,21 @@ def random_tournament(cfg: GeneratorConfig) -> PreferenceMatrix:
     if cfg.force_no_winner and n < 3:
         raise GenerationError(f"no tournament of size {n} is winner-free; force_no_winner needs n >= 3")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _pairs(n)
     low, high = cfg.strength_low, cfg.strength_high
     for _ in range(REJECTION_CAP):
         # Pairs i < j in row-major order, each drawing its strength, then its coin.
         draws = rng.random(2 * rows.size)
-        strength = low + (high - low) * draws[0::2]
         row_wins = draws[1::2] < 0.5
+        # Strengths lie strictly above 1/2, so the coins alone decide who
+        # beats whom: a Condorcet winner wins all n - 1 of its pairs.
+        if cfg.force_no_winner and np.bincount(np.where(row_wins, rows, cols), minlength=n).max() == n - 1:
+            continue
+        strength = low + (high - low) * draws[0::2]
         p = np.full((n, n), 0.5)
         p[rows, cols] = np.where(row_wins, strength, 1.0 - strength)
         p[cols, rows] = np.where(row_wins, 1.0 - strength, strength)
-        pref = validate_preferences(p)
-        if not cfg.force_no_winner or condorcet_winner(pref) is None:
-            return pref
+        return validate_preferences(p)
     raise GenerationError(
         f"no winner-free tournament of size {n} in {REJECTION_CAP} attempts"
     )

@@ -223,11 +223,12 @@ def eval_mapping_array(spec: MappingSpec, t) -> np.ndarray:
         return np.where(ts < 0.5, spec.m_minus, np.where(ts > 0.5, spec.m_plus, spec.mid))
     if kind == "symmetric_extension":
         assert spec.base is not None
-        lower = eval_mapping_array(spec.base, np.minimum(ts, 0.5))
-        upper = 2.0 * eval_mapping_array(spec.base, 0.5) - eval_mapping_array(
-            spec.base, np.minimum(1.0 - ts, 0.5)
-        )
-        return np.where(ts <= 0.5, lower, upper)
+        # One pass of the base over [0, 1/2]: each t or its mirror 1 - t,
+        # then 1/2 itself.
+        below = ts <= 0.5
+        half = eval_mapping_array(spec.base, np.append(np.where(below, ts, 1.0 - ts), 0.5))
+        base = half[:-1].reshape(ts.shape)
+        return np.where(below, base, 2.0 * half[-1] - base)
     raise MappingError(f"unknown mapping kind {kind!r}")
 
 
@@ -246,8 +247,12 @@ def apply_mapping(pref: PreferenceMatrix, mapping: MappingSpec) -> PayoffMatrix:
     when stored diagonal entries carry float noise within the validation
     tolerance; the diagonal anchors every downstream symmetry argument.
     """
-    a = eval_mapping_array(mapping, pref.p)
-    mid = eval_mapping(mapping, 0.5)
+    # One pass over the entries with 1/2 appended, whose value is the midpoint.
+    values = eval_mapping_array(mapping, np.append(pref.p, 0.5))
+    mid = values[-1]
+    if not np.isfinite(mid):
+        raise MappingError(f"mapping {mapping.kind} is not finite at t=0.5")
+    a = values[:-1].reshape(pref.n, pref.n)
     np.fill_diagonal(a, mid)
     if not np.all(np.isfinite(a)):
         bad = np.argwhere(~np.isfinite(a))[0]

@@ -12,6 +12,7 @@ distance from mutual best response, relative to the payoff span.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     Policy,
     Record,
     SolverError,
+    ValidationError,
     _as_readonly,
     _require_same_n,
 )
@@ -76,15 +78,23 @@ def _clean_policy(w: np.ndarray) -> Policy:
 
 
 def _span(a: np.ndarray) -> float:
-    """The payoff's range of entries, or 1 for a constant payoff."""
-    return float(a.max() - a.min()) or 1.0
+    """The payoff's range of entries, or 1 for a constant payoff.
+
+    A non-finite entry is a ``SolverError``, as in every LP; finite entries
+    whose range overflows a float are a ``ValidationError``.
+    """
+    high, low = float(a.max()), float(a.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
+        raise SolverError("LP inputs must be finite")
+    span = high - low  # Python floats overflow to inf without numpy's warning
+    if not math.isfinite(span):
+        raise ValidationError(f"payoff span is not finite: max {high!r} - min {low!r} = {span!r}")
+    return span or 1.0
 
 
 def _unit_span(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``((a - low) / span, low, span)``: the payoff on [0, 1], where affine maps of ``a`` do not move it."""
-    if not np.isfinite(a).all():
-        raise SolverError("LP inputs must be finite")
-    low, span = float(a.min()), _span(a)
+    span, low = _span(a), float(a.min())
     return (a - low) / span, low, span
 
 
@@ -129,9 +139,11 @@ def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     LP runs instead of two and ``solver_iterations`` counts its pivots only.
     Raises ``SolverError`` if the reported pair's exploitability exceeds
     ``DEFAULT_SOLVER_TOL`` times the payoff span: the LPs lost accuracy,
-    and the pair is not an equilibrium.
+    and the pair is not an equilibrium.  The span is taken before any LP
+    runs, so a span that overflows a float is a ``ValidationError``.
     """
     a = payoff.a
+    span = _span(a)
     neg_t = -a.T
     row_w, value, iters_row = _maximin_lp(a)
     # array_equal counts the -0.0 on the diagonal of -a.T equal to a's 0.0; a
@@ -139,9 +151,9 @@ def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     # strategies and the "+ 0.0" value drop, so reuse is bit-identical.
     skew = np.array_equal(neg_t, a)
     col_w, _, iters_col = (row_w, value, 0) if skew else _maximin_lp(neg_t)
-    row, col = _clean_policy(row_w), _clean_policy(col_w)
+    row = _clean_policy(row_w)
+    col = row if skew else _clean_policy(col_w)
     exploitability = best_response_gap(payoff, row, col)
-    span = _span(a)
     if exploitability > DEFAULT_SOLVER_TOL * span:
         raise SolverError(
             f"exploitability {exploitability} exceeds {DEFAULT_SOLVER_TOL} x payoff span {span}; "

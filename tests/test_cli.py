@@ -282,6 +282,16 @@ def test_kkt_target_with_a_wrong_declared_n_exits_two(files, capsys):
     assert captured.err == f"error: {target}: declared n=4 but the data has n=2\n"
 
 
+def test_kkt_overflowing_span_exits_two(files, capsys):
+    _, write = files
+    payoff = write("payoff.json", {"n": 2, "a": [[1e308, -1e308], [0.0, 0.0]]})
+    target = write("target.json", {"n": 2, "w": [0.5, 0.5]})
+    assert run(["kkt", "--payoff", payoff, "--target", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: payoff span is not finite: max 1e+308 - min -1e+308 = inf\n"
+
+
 def test_kkt_infeasible_exits_one(files, capsys):
     _, write = files
     payoff = write("payoff.json", {"n": 2, "a": [[0.0, 1.0], [1.0, 0.0]]})
@@ -594,6 +604,27 @@ def test_ignored_flags_are_rejected(argv, capsys):
         run(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cached_parser_prints_what_fresh_processes_print(capsys, monkeypatch):
+    # argparse wraps usage at the terminal's width; both sides get the same.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+    sequence = [
+        ["gen", "random", "--bogus"],
+        ["gen", "random", "--n", "4", "--seed", "9"],
+        ["monte-carlo", "--no-timing", "--format", "json"],
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            codes.append(run(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "prefgame", *argv], capture_output=True, text=True)
+        assert (codes[-1], captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [2, 0, 0]
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -20,8 +20,10 @@ def test_summary_dict_keeps_field_order():
         "violations_mixed",
         "worst_mass_outside_smith",
         "elapsed_ms",
+        "layers_ms",
     ]
-    assert list(summary.to_dict(include_timing=False)) == list(summary.to_dict())[:-1]
+    assert list(summary.to_dict(include_timing=False)) == list(summary.to_dict())[:-2]
+    assert list(summary.layers_ms) == ["generate", "map", "solve", "verdict"]
     assert summary.to_dict()["psi"] == {"kind": "identity"}
 
 

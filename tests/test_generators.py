@@ -44,7 +44,56 @@ def loop_tournament(cfg):
     raise pg.GenerationError("no winner-free tournament")
 
 
+def build_and_reject_tournament(cfg):
+    """The vectorized draw that builds, validates and checks every rejected draw."""
+    n = cfg.n
+    if cfg.force_no_winner and n < 3:
+        raise pg.GenerationError(f"no tournament of size {n} is winner-free; force_no_winner needs n >= 3")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rows, cols = np.triu_indices(n, 1)
+    low, high = cfg.strength_low, cfg.strength_high
+    for _ in range(generators.REJECTION_CAP):
+        draws = rng.random(2 * rows.size)
+        strength = low + (high - low) * draws[0::2]
+        row_wins = draws[1::2] < 0.5
+        p = np.full((n, n), 0.5)
+        p[rows, cols] = np.where(row_wins, strength, 1.0 - strength)
+        p[cols, rows] = np.where(row_wins, 1.0 - strength, strength)
+        pref = pg.validate_preferences(p)
+        if not cfg.force_no_winner or pg.condorcet_winner(pref) is None:
+            return pref
+    raise pg.GenerationError(f"no winner-free tournament of size {n} in {generators.REJECTION_CAP} attempts")
+
+
+def outcome(draw, cfg):
+    """The matrix's bytes and no_tie flag, or the error's type and message."""
+    try:
+        pref = draw(cfg)
+    except pg.GenerationError as exc:
+        return type(exc), str(exc)
+    return pref.p.tobytes(), pref.no_tie
+
+
 class TestRandomTournament:
+    @pytest.mark.parametrize("force", [False, True])
+    def test_bit_identical_to_building_every_rejected_draw(self, force):
+        for n in range(1, 11):
+            for seed in range(50):
+                cfg = pg.GeneratorConfig(n=n, seed=seed, force_no_winner=force)
+                assert outcome(pg.random_tournament, cfg) == outcome(build_and_reject_tournament, cfg), (n, seed)
+
+    def test_attempt_cap_exhaustion_matches_building_every_draw(self, monkeypatch):
+        # Three of every four 3-tournaments have a winner, so two attempts
+        # often run out.
+        monkeypatch.setattr(generators, "REJECTION_CAP", 2)
+        results = []
+        for seed in range(50):
+            cfg = pg.GeneratorConfig(n=3, seed=seed, force_no_winner=True)
+            results.append(outcome(pg.random_tournament, cfg))
+            assert results[-1] == outcome(build_and_reject_tournament, cfg), seed
+        exhausted = (pg.GenerationError, "no winner-free tournament of size 3 in 2 attempts")
+        assert 0 < results.count(exhausted) < len(results)
+
     def test_bit_identical_to_the_draw_loop(self):
         for seed in range(25):
             for n in range(1, 10):

@@ -165,6 +165,85 @@ class TestSymmetricExtension:
         assert eval_mapping(ext, 1.0) == pytest.approx(1.5)
 
 
+def multi_pass_array(spec, t):
+    """``eval_mapping_array`` with a symmetric extension evaluating its base three times."""
+    if spec.kind != "symmetric_extension":
+        return eval_mapping_array(spec, t)
+    ts = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    lower = multi_pass_array(spec.base, np.minimum(ts, 0.5))
+    upper = 2.0 * multi_pass_array(spec.base, 0.5) - multi_pass_array(spec.base, np.minimum(1.0 - ts, 0.5))
+    return np.where(ts <= 0.5, lower, upper)
+
+
+def multi_pass_payoff(pref, spec):
+    """``apply_mapping`` as one pass over the entries and a separate scalar midpoint."""
+    a = multi_pass_array(spec, pref.p)
+    mid = float(multi_pass_array(spec, 0.5))
+    if not np.isfinite(mid):
+        raise pg.MappingError(f"mapping {spec.kind} is not finite at t=0.5")
+    np.fill_diagonal(a, mid)
+    return a
+
+
+ONE_PASS_GRID = np.unique(np.r_[
+    np.linspace(0.0, 1.0, 41),
+    [1e-12, 1e-3, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 1e-9],
+])
+BUMPY = pg.symmetric_extension(pg.piecewise_linear(BUMPY_BASE))
+# One mapping of every kind, symmetric extensions of several kinds and of
+# an extension, and clamps that cut into the grid.
+ONE_PASS_MAPPINGS = {
+    "identity": pg.identity(),
+    "identity-clamped": pg.identity(0.1),
+    "log_odds": pg.log_odds(),
+    "log_odds-clamped": pg.log_odds(0.05),
+    "affine": pg.affine(-3.0, 2.5),
+    "power": pg.power(0.5),
+    "power-clamped": pg.power(-1.0, clamp_epsilon=1e-3),
+    "piecewise_linear": pg.piecewise_linear([(i / 40, np.sin(7.0 * i / 40)) for i in range(41)]),
+    "piecewise_constant": pg.piecewise_constant(-1.0, 0.0, 1.0),
+    "extension-of-table": BUMPY,
+    "extension-of-log_odds": pg.symmetric_extension(pg.log_odds()),
+    "extension-of-power": pg.symmetric_extension(pg.power(2.0)),
+    "extension-of-extension": pg.symmetric_extension(BUMPY),
+}
+
+
+def grid_preferences():
+    """A preference matrix whose entries above the diagonal are ONE_PASS_GRID."""
+    k = 1
+    while k * (k - 1) // 2 < ONE_PASS_GRID.size:
+        k += 1
+    p = np.full((k, k), 0.5)
+    rows, cols = np.triu_indices(k, 1)
+    upper = np.resize(ONE_PASS_GRID, rows.size)
+    p[rows, cols] = upper
+    p[cols, rows] = 1.0 - upper
+    return pg.validate_preferences(p)
+
+
+class TestOnePassEvaluation:
+    @pytest.mark.parametrize("spec", ONE_PASS_MAPPINGS.values(), ids=ONE_PASS_MAPPINGS)
+    def test_array_evaluation_matches_the_multi_pass_form(self, spec):
+        for t in (ONE_PASS_GRID, ONE_PASS_GRID.reshape(-1, 1), ONE_PASS_GRID[::-1].copy()):
+            assert eval_mapping_array(spec, t).tobytes() == multi_pass_array(spec, t).tobytes()
+        for t in ONE_PASS_GRID:
+            single = eval_mapping_array(spec, np.asarray(t))
+            assert single.shape == ()
+            assert single.tobytes() == multi_pass_array(spec, np.asarray(t)).tobytes()
+
+    @pytest.mark.parametrize("spec", ONE_PASS_MAPPINGS.values(), ids=ONE_PASS_MAPPINGS)
+    def test_payoff_matches_the_multi_pass_form(self, spec):
+        pref = grid_preferences()
+        assert pg.apply_mapping(pref, spec).a.tobytes() == multi_pass_payoff(pref, spec).tobytes()
+
+    def test_non_finite_midpoint_keeps_its_message(self):
+        spec = mappings.MappingSpec(kind="piecewise_constant", m_minus=-1.0, mid=np.inf, m_plus=1.0)
+        with pytest.raises(pg.MappingError) as info:
+            pg.apply_mapping(grid_preferences(), spec)
+        assert str(info.value) == "mapping piecewise_constant is not finite at t=0.5"
+
+
 class TestConditions:
     def test_identity_passes_all(self):
         report = pg.check_conditions(pg.identity())

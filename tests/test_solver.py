@@ -143,6 +143,27 @@ def test_best_response_gap_dimension_check():
         pg.best_response_gap(rps_game(), pg.Policy.uniform(2), pg.Policy.uniform(3))
 
 
+# Finite entries whose span max - min overflows a float.
+OVERFLOWING_SPAN = [[1e308, -1e308], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pay: pg.solve_maximin(pay),
+        lambda pay: pg.uniqueness_report(pay, pg.solve_maximin(pg.make_payoff(np.eye(2)))),
+        lambda pay: pg.kkt_verify(pay, pg.Policy.uniform(2)),
+    ],
+    ids=["solve_maximin", "uniqueness_report", "kkt_verify"],
+)
+def test_overflowing_span_is_a_validation_error(call):
+    # Warnings are errors in this suite, so an overflow warning fails here too.
+    pay = pg.make_payoff(OVERFLOWING_SPAN)
+    with pytest.raises(pg.ValidationError) as info:
+        call(pay)
+    assert str(info.value) == "payoff span is not finite: max 1e+308 - min -1e+308 = inf"
+
+
 class TestEnumeration:
     def test_rps_unique(self):
         eqs = enumerate_equilibria(rps_game())
