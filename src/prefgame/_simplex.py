@@ -2,11 +2,14 @@
 
 Solves min c.x subject to A x = b, x >= 0.  Phase 1 minimizes the mass of
 artificial variables to find a basic feasible point; phase 2 optimizes the
-real objective.  The optimal-face LP max 1.y subject to A y <= 1, y >= 0,
-with A in [1, 2], starts from its slack basis, which is feasible, so it
-runs phase 2 alone.  Pivots follow Bland's rule (smallest eligible index
-both entering and leaving), which rules out cycling, so the iteration cap
-is a backstop against bugs rather than a tuning knob.
+real objective.  The maximin LPs of ``solver.solve_maximin`` are the only
+equality-form programs left.  Dantzig's (1951) game LP max 1.y subject to
+A y <= 1, y >= 0, with A in [1, 2], starts from its slack basis, which is
+feasible, so ``slack_basis_lp`` runs phase 2 alone; the KKT certificate
+takes its column strategy there, and ``optimal_face_ranges`` its optimal
+face.  Pivots follow Bland's rule (smallest eligible index both entering
+and leaving), which rules out cycling, so the iteration cap is a backstop
+against bugs rather than a tuning knob.
 
 Problem sizes here are tiny (tens of variables), so everything is dense.
 Every feasible x has c.x = optimum + sum d_j x_j over the final reduced
@@ -207,15 +210,13 @@ def solve_standard_lp(c, a_eq, b_eq) -> LPResult:
     return _phase_two(c, work, basis, iterations)
 
 
-def optimal_face_ranges(a: np.ndarray, face_tol: float):
-    """Solve max 1.y with A y <= 1, y >= 0, then bound each y_i over its optimal face.
+def slack_basis_lp(a: np.ndarray):
+    """Solve max 1.y with A y <= 1, y >= 0 for entries of ``a`` in [1, 2].
 
-    For entries of ``a`` in [1, 2] the slack basis is feasible and y <= 1
-    bounds every LP here, so phase 2 alone finds each optimum (Dantzig
-    1951).  Nonbasic columns with a final reduced cost above ``face_tol``
-    are fixed at zero, and each y_i is minimized and maximized by phase 2
-    from the final basis.  Returns ``(result, ranges, face_columns,
-    range_pivots)`` with ``ranges[i] = [min, max]``.
+    The slack basis is feasible and y <= 1 bounds the LP, so phase 2 alone
+    finds the optimum (Dantzig 1951).  Returns ``(result, work, basis)``:
+    ``result.x`` holds y and then the slacks, ``result.objective`` is
+    -1.y, and ``work`` and ``basis`` are the final tableau and basis.
     """
     m, n = a.shape
     work = _unit_basis_work(a, 1.0)
@@ -223,10 +224,30 @@ def optimal_face_ranges(a: np.ndarray, face_tol: float):
     result = _phase_two(np.r_[np.full(n, -1.0), np.zeros(m)], work, basis, 0)
     if result.status != OPTIMAL:
         raise SolverError(f"LP ended with status {result.status}; it has no optimal face")
+    return result, work, basis
+
+
+def optimal_face_ranges(a: np.ndarray, face_tol: float):
+    """Solve ``slack_basis_lp(a)``, then bound each y_i over its optimal face.
+
+    Nonbasic columns with a final reduced cost above ``face_tol`` are fixed
+    at zero, and each y_i is minimized and maximized by phase 2 from the
+    final basis.  When no nonbasic column is kept, the face is the final
+    vertex (the basis matrix is invertible), every range LP would start
+    there without a pivot, and the ranges are that vertex itself.  Returns
+    ``(result, ranges, face_columns, range_pivots)`` with
+    ``ranges[i] = [min, max]``.
+    """
+    n = a.shape[1]
+    result, work, basis = slack_basis_lp(a)
+    # Basic columns keep a reduced cost of exactly zero, so they are kept.
     kept = work[-1, : result.x.size] <= face_tol
+    face_columns = int(kept.sum())
+    if face_columns == basis.size:
+        return result, np.column_stack([result.x[:n], result.x[:n]]), face_columns, 0
     face = work[:, np.r_[kept, True]]
     position = np.cumsum(kept) - 1
-    unit = np.eye(int(kept.sum()))
+    unit = np.eye(face_columns)
     ranges = np.zeros((n, 2))
     range_pivots = 0
     for i in np.flatnonzero(kept[:n]):
@@ -234,4 +255,4 @@ def optimal_face_ranges(a: np.ndarray, face_tol: float):
             bound = _phase_two(sign * unit[position[i]], face.copy(), position[basis], 0)
             range_pivots += bound.iterations
             ranges[i, side] = bound.x[position[i]]
-    return result, ranges, len(unit), range_pivots
+    return result, ranges, face_columns, range_pivots

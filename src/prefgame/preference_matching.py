@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._simplex import INFEASIBLE, solve_standard_lp
+from ._simplex import slack_basis_lp
 from .core import (
     MappingError,
     PayoffMatrix,
@@ -31,7 +31,7 @@ from .core import (
     make_policy,
     validate_preferences,
 )
-from .solver import DEFAULT_VERIFY_TOL, NashReport, _clean_policy, _unit_span, solve_maximin
+from .solver import DEFAULT_VERIFY_TOL, NashReport, _clean_policy, _span, _unit_span, best_response_gap, solve_maximin
 
 logger = logging.getLogger(__name__)
 
@@ -45,14 +45,17 @@ class BTLModel(Record):
 
 @dataclass(frozen=True)
 class KKTCertificate(Record):
-    """Stationarity evidence that a target policy is a maximin solution.
+    """Duality evidence that a full-support target policy is a maximin solution.
 
     ``t`` is the target's guarantee: every column payoff is at least
     ``t``, and ``column_slacks`` (column payoff minus ``t``) are >= 0.
-    ``u`` re-weights the columns so that every row payoff equals ``t``,
-    which proves the target optimal; it puts weight only on columns with
-    zero slack.  ``u`` is None when no such weighting exists;
-    infeasibility is a result, not an error.
+    ``u`` is an optimal column strategy of the payoff.  By weak duality
+    no row strategy guarantees more than max(A u), so ``feasible`` is
+    the bound max(A u) - t <= ``DEFAULT_VERIFY_TOL`` times the payoff
+    span: the target attains the value up to that tolerance.  When the
+    bound fails, ``u`` and ``complementarity_residual`` are None;
+    infeasibility is a result, not an error.  The residual
+    max_j u_j * slack_j is reported only.
     """
 
     u: Policy | None
@@ -193,45 +196,40 @@ def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpe
     return RatioPayoffSpec(f=f, diagonal_c=c)
 
 
+def _certificate(payoff: PayoffMatrix, target: Policy, u: Policy, pivots: int) -> KKTCertificate:
+    """The weak-duality verdict on ``target`` from column strategy ``u``, which ``pivots`` pivots gave."""
+    column_payoffs = target.w @ payoff.a
+    t = float(np.min(column_payoffs))
+    column_slacks = _as_readonly(column_payoffs - t)
+    gap, span = best_response_gap(payoff, target, u), _span(payoff.a)
+    feasible = gap <= DEFAULT_VERIFY_TOL * span
+    verdict = "feasible" if feasible else "infeasible"
+    logger.debug("kkt %s: n=%d t=%.12g gap=%.3g span=%.3g pivots=%d", verdict, payoff.n, t, gap, span, pivots)
+    return KKTCertificate(
+        u=u if feasible else None,
+        t=t,
+        column_slacks=column_slacks,
+        complementarity_residual=float(np.max(u.w * column_slacks)) if feasible else None,
+        feasible=feasible,
+    )
+
+
 def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     """Check whether ``target`` is a maximin solution of ``payoff``.
 
-    ``t`` is the target's guarantee min_j (wᵀA)_j, and column weights ``u``
-    must solve A u = t 1: the maximin KKT system of a full-support target,
-    since wᵀA u = t with wᵀA >= t puts ``u`` only where wᵀA = t.  It is one
-    feasibility LP on the payoff mapped onto [0, 1] (the same ``u`` solves
-    it) with ``DEFAULT_VERIFY_TOL`` relative to the span, so the verdict
-    does not change under a positive affine map of the payoff.
+    A full-support target is maximin iff its guarantee t = min_j (wᵀA)_j
+    is the game's value.  ``u`` is the optimal column strategy z / Σz of
+    Dantzig's LP max 1ᵀz subject to C z <= 1, z >= 0, on C = 1 + Â with
+    Â the payoff mapped onto [0, 1]; its slack basis is feasible, so no
+    phase 1 runs.  The target certifies when max(A u) - t, which bounds
+    value - t from above, is at most ``DEFAULT_VERIFY_TOL`` times the
+    span, so the verdict does not change under a positive affine map of
+    the payoff.
     """
     _require_same_n("payoff", payoff.n, "target", target.n)
-    w = _require_full_support(target, "kkt_verify")
-    a = payoff.a
-    n = payoff.n
-    unit, low, span = _unit_span(a)
-    column_payoffs = w @ a
-    t = float(np.min(column_payoffs))
-    column_slacks = _as_readonly(column_payoffs - t)
-    a_eq = np.vstack([unit, np.ones(n)])
-    b_eq = np.r_[np.full(n, (t - low) / span), 1.0]
-    result = solve_standard_lp(np.zeros(n), a_eq, b_eq)
-    if result.status == INFEASIBLE:
-        logger.debug("kkt infeasible: n=%d t=%.12g", n, t)
-        return KKTCertificate(
-            u=None, t=t, column_slacks=column_slacks, complementarity_residual=None, feasible=False
-        )
-    # A zero objective makes phase 2 pivot-free, so the LP is optimal here.
-    u = _clean_policy(result.x)
-    row_residual = float(np.max(np.abs(a @ u.w - t)))
-    # Slacks and weights are nonnegative, and sum_j u_j slack_j = wᵀ(A u - t 1),
-    # which is at most the row residual; complementarity is reported only.
-    complementarity = float(np.max(u.w * column_slacks))
-    return KKTCertificate(
-        u=u,
-        t=t,
-        column_slacks=column_slacks,
-        complementarity_residual=complementarity,
-        feasible=row_residual <= DEFAULT_VERIFY_TOL * span,
-    )
+    _require_full_support(target, "kkt_verify")
+    result, _, _ = slack_basis_lp(1.0 + _unit_span(payoff.a)[0])
+    return _certificate(payoff, target, _clean_policy(result.x[: payoff.n]), result.iterations)
 
 
 def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
@@ -240,11 +238,13 @@ def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     The gap is the total-variation distance between the solver's row
     strategy and the target.  The attached certificate matters when the gap
     is positive: the target could still be an optimal strategy the solver
-    simply did not return.  A feasible certificate proves the target
-    optimal, and an infeasible one rules that out.
+    simply did not return.  It is ``kkt_verify``'s verdict with the
+    solve's own column strategy as ``u``, so no second LP runs, and its
+    debug line counts the solve's pivots.  A feasible certificate proves
+    the target optimal, and an infeasible one rules that out.
     """
     payoff = ratio_payoff(spec, target)
     nash = solve_maximin(payoff)
     gap = 0.5 * float(np.abs(nash.row_strategy.w - target.w).sum())
-    certificate = kkt_verify(payoff, target)
+    certificate = _certificate(payoff, target, nash.col_strategy, nash.solver_iterations)
     return ProbeReport(gap=gap, kkt=certificate, nash=nash)

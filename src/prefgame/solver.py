@@ -60,13 +60,15 @@ class UniquenessReport(Record):
     ``coordinate_ranges[i]`` is the [min, max] of the i-th strategy weight
     over all optimal row strategies, read off the optimal face of Dantzig's
     LP for the row player; ``unique`` means every range has width at most
-    ``DEFAULT_VERIFY_TOL``.
+    ``DEFAULT_VERIFY_TOL``.  ``face_vertex`` says the face was the LP's
+    final vertex alone, so the ranges were read off it with no range LP.
     """
 
     unique: bool
     column_slacks: np.ndarray
     dual_support_full: bool
     coordinate_ranges: np.ndarray
+    face_vertex: bool
 
 
 def _clean_policy(w: np.ndarray) -> Policy:
@@ -228,4 +230,5 @@ def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessRepor
         column_slacks=_as_readonly(column_slacks),
         dual_support_full=dual_support_full,
         coordinate_ranges=_as_readonly(ranges),
+        face_vertex=face_columns == n,
     )

@@ -234,12 +234,16 @@ PAYOFF = pg.apply_mapping(PREF, pg.identity())
 NASH = pg.solve_maximin(PAYOFF)
 TARGET = pg.make_policy([0.2, 0.3, 0.5])
 
-# One report per ``Record`` class; the KKT certificate with and without ``u``.
+CONSTANT = pg.make_payoff(np.full((3, 3), 0.5))
+
+# One report per ``Record`` class; the uniqueness report on a vertex face and
+# on a wider one, and the KKT certificate with and without ``u``.
 RECORDS = {
     "payoff": lambda: PAYOFF,
     "policy": lambda: NASH.row_strategy,
     "nash": lambda: NASH,
     "uniqueness": lambda: pg.uniqueness_report(PAYOFF, NASH),
+    "uniqueness-face": lambda: pg.uniqueness_report(CONSTANT, pg.solve_maximin(CONSTANT)),
     "btl": lambda: pg.make_btl([1.0, 0.3, 0.0]),
     "kkt-feasible": lambda: pg.kkt_verify(pg.construction_one(TARGET), TARGET),
     "kkt-infeasible": lambda: pg.pm_gap(pg.btl_family(), pg.make_policy([0.6, 0.3, 0.1])).kkt,

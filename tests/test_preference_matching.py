@@ -1,5 +1,7 @@
 """Reward models, matching constructions, and optimality certificates."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
+from prefgame import _simplex, preference_matching
 from support_enumeration import game_value
 
 
@@ -181,6 +184,83 @@ class TestKKT:
                 scaled = pg.make_payoff(scale * pay.a + 0.5 * scale)
                 certified[name] += pg.kkt_verify(scaled, target).feasible
         assert certified == {"btl_family": 0, "construction_one": 50}
+
+    @pytest.mark.parametrize("k", [47, 75, 79, 163, 183, 259, 263, 271])
+    def test_mismatched_degenerate_targets_at_large_spans_certify(self, k):
+        # degenerate_family(n + 1) at these n-targets has spans of 6e7 to 2e9
+        # and a guarantee within 1e-8 of the value in span units.  The best
+        # column weights still miss A u = t 1 by up to (value - t) / min(w),
+        # with min(w) down to 3e-10, so a verdict on that residual failed.
+        n = 2 + (k // 4) % 23
+        rng = np.random.default_rng(np.random.SeedSequence([7, k]))
+        target = pg.pm_policy(pg.make_btl(rng.normal(0.0, 4.0, size=n)))
+        pay = pg.ratio_payoff(pg.degenerate_family(n + 1), target)
+        cert = pg.kkt_verify(pay, target)
+        span = float(pay.a.max() - pay.a.min())
+        assert cert.feasible
+        # Weak duality: the value is at most max(A u), so it is within 1e-8 x span of t.
+        assert pg.best_response_gap(pay, target, cert.u) <= 1e-8 * span
+
+    def test_verify_runs_no_phase_one(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("kkt_verify ran phase 1")
+
+        monkeypatch.setattr(_simplex, "_phase_one", refuse)
+        target = pg.make_policy([0.2, 0.3, 0.5])
+        assert pg.kkt_verify(pg.construction_one(target), target).feasible
+        assert not pg.kkt_verify(pg.ratio_payoff(pg.btl_family(), target), target).feasible
+
+    @pytest.mark.parametrize(
+        "spec, feasible", [(pg.btl_family(), False), (pg.degenerate_family(3), True)], ids=["btl", "degenerate"]
+    )
+    def test_probe_certificate_runs_no_phase_one(self, monkeypatch, spec, feasible):
+        # The certificate reuses the probe's own solve, the only LP it runs.
+        target = pg.make_policy([0.2, 0.3, 0.5])
+        nash = pg.solve_maximin(pg.ratio_payoff(spec, target))
+
+        def refuse(a, b):
+            raise AssertionError("pm_gap ran phase 1 beyond its solve")
+
+        monkeypatch.setattr(preference_matching, "solve_maximin", lambda payoff: nash)
+        monkeypatch.setattr(_simplex, "_phase_one", refuse)
+        probe = pg.pm_gap(spec, target)
+        assert probe.kkt.feasible is feasible
+        assert probe.kkt.u is (nash.col_strategy if feasible else None)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 10),
+        sigma=st.floats(0.25, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["btl", "degenerate_n", "degenerate_n+1"]),
+        scale=st.floats(-8.0, 8.0),
+        shift=st.floats(-10.0, 10.0),
+    )
+    def test_verdict_survives_affine_maps_and_matches_the_probe(self, n, sigma, seed, family, scale, shift):
+        target = pg.pm_policy(pg.make_btl(np.random.default_rng(seed).normal(0.0, sigma, size=n)))
+        spec = {
+            "btl": pg.btl_family(),
+            "degenerate_n": pg.degenerate_family(n),
+            "degenerate_n+1": pg.degenerate_family(n + 1),
+        }[family]
+        pay = pg.ratio_payoff(spec, target)
+        feasible = pg.kkt_verify(pay, target).feasible
+        a = 10.0**scale
+        assert pg.kkt_verify(pg.make_payoff(a * pay.a + a * shift), target).feasible == feasible
+        assert pg.pm_gap(spec, target).kkt.feasible == feasible
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_debug_line_reports_every_verdict(self, caplog, feasible):
+        target = pg.make_policy([0.2, 0.3, 0.5])
+        pay = pg.construction_one(target) if feasible else pg.ratio_payoff(pg.btl_family(), target)
+        with caplog.at_level(logging.DEBUG, logger="prefgame.preference_matching"):
+            cert = pg.kkt_verify(pay, target)
+        assert cert.feasible is feasible
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("kkt ")]
+        assert len(lines) == 1
+        verdict = "feasible" if feasible else "infeasible"
+        assert lines[0].startswith(f"kkt {verdict}: n=3 t={cert.t:.12g} gap=")
+        assert " span=" in lines[0] and " pivots=" in lines[0]
 
     def test_dict_shape(self):
         pay = pg.make_payoff([[0.0, 1.0], [1.0, 0.0]])

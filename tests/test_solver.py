@@ -370,6 +370,26 @@ SHARED_PHASE_ONE_GAMES = {
 }
 
 
+def range_lp_loop(a, face_tol):
+    """Each coordinate's [min, max] from two phase-2 LPs on the optimal face of
+    ``slack_basis_lp(a)``, and the pivots of those LPs: ``optimal_face_ranges``
+    with no vertex shortcut."""
+    result, work, basis = _simplex.slack_basis_lp(a)
+    n = a.shape[1]
+    kept = work[-1, : result.x.size] <= face_tol
+    face = work[:, np.r_[kept, True]]
+    position = np.cumsum(kept) - 1
+    unit = np.eye(int(kept.sum()))
+    ranges = np.zeros((n, 2))
+    pivots = 0
+    for i in np.flatnonzero(kept[:n]):
+        for side, sign in enumerate((1.0, -1.0)):
+            bound = _simplex._phase_two(sign * unit[position[i]], face.copy(), position[basis], 0)
+            pivots += bound.iterations
+            ranges[i, side] = bound.x[position[i]]
+    return ranges, pivots
+
+
 class TestSharedPhaseOne:
     """Coordinate ranges on the row LP's optimal face against per-coordinate
     LPs, and the LP entry points' input checks.  The class keeps the name of
@@ -404,6 +424,27 @@ class TestSharedPhaseOne:
         _, ranges, face_columns, range_pivots = optimal_face_ranges(np.array([[1.0, 1.0]]), 1e-9)
         assert face_columns == 2 and range_pivots > 0
         np.testing.assert_array_equal(ranges, [[0.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [4, 7, 10, 13, 16])
+    def test_construction_one_faces_are_vertices(self, n):
+        # A vertex face skips its range LPs; each would start at that vertex
+        # and stop there, so the bytes are the same.
+        for index in range(20):
+            pay = btl_construction_one(n, index)
+            a = 2.0 - solver._unit_span(pay.a)[0].T
+            _, ranges, face_columns, range_pivots = optimal_face_ranges(a, solver.DEFAULT_SOLVER_TOL)
+            expected, loop_pivots = range_lp_loop(a, solver.DEFAULT_SOLVER_TOL)
+            assert (face_columns, range_pivots, loop_pivots) == (n, 0, 0), index
+            assert ranges.tobytes() == expected.tobytes(), index
+            assert pg.uniqueness_report(pay, pg.solve_maximin(pay)).face_vertex, index
+
+    @pytest.mark.parametrize(
+        "name, vertex",
+        [("rps", True), ("btl10", True), ("constant2", False), ("duplicated_row6", False)],
+    )
+    def test_report_says_whether_the_face_is_a_vertex(self, name, vertex):
+        pay = SHARED_PHASE_ONE_GAMES[name]()
+        assert pg.uniqueness_report(pay, pg.solve_maximin(pay)).face_vertex is vertex
 
     @pytest.mark.parametrize("name", ["rps", "duplicated_row6"])
     def test_report_runs_no_phase_one(self, monkeypatch, name):
