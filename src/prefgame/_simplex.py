@@ -5,11 +5,14 @@ artificial variables to find a basic feasible point; phase 2 optimizes the
 real objective.  The maximin LPs of ``solver.solve_maximin`` are the only
 equality-form programs left.  Dantzig's (1951) game LP max 1.y subject to
 A y <= 1, y >= 0, with A in [1, 2], starts from its slack basis, which is
-feasible, so ``slack_basis_lp`` runs phase 2 alone; the KKT certificate
-takes its column strategy there, and ``optimal_face_ranges`` its optimal
-face.  Pivots follow Bland's rule (smallest eligible index both entering
-and leaving), which rules out cycling, so the iteration cap is a backstop
-against bugs rather than a tuning knob.
+feasible, so ``slack_basis_lp`` runs phase 2 alone.  On A = 1 + Â, the
+payoff mapped onto [0, 1], one such LP solves a game: y / sum(y) is the
+column strategy, the slack columns' final reduced costs give the row
+strategy, and 1 / sum(y) - 1 is the value of Â.  ``pm_gap``'s probe
+solve and the KKT certificate run it, and ``optimal_face_ranges`` takes
+its optimal face on A = 2 - Âᵀ.  Pivots follow Bland's rule (smallest
+eligible index both entering and leaving), which rules out cycling, so
+the iteration cap is a backstop against bugs rather than a tuning knob.
 
 Problem sizes here are tiny (tens of variables), so everything is dense.
 Every feasible x has c.x = optimum + sum d_j x_j over the final reduced

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._simplex import slack_basis_lp
 from .core import (
     MappingError,
     PayoffMatrix,
@@ -31,7 +30,15 @@ from .core import (
     make_policy,
     validate_preferences,
 )
-from .solver import DEFAULT_VERIFY_TOL, NashReport, _clean_policy, _span, _unit_span, best_response_gap, solve_maximin
+from .solver import (
+    DEFAULT_VERIFY_TOL,
+    NashReport,
+    _certified_report,
+    _clean_policy,
+    _dantzig_lp,
+    _span,
+    best_response_gap,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -228,23 +235,30 @@ def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     """
     _require_same_n("payoff", payoff.n, "target", target.n)
     _require_full_support(target, "kkt_verify")
-    result, _, _ = slack_basis_lp(1.0 + _unit_span(payoff.a)[0])
-    return _certificate(payoff, target, _clean_policy(result.x[: payoff.n]), result.iterations)
+    col_w, _, _, pivots = _dantzig_lp(payoff.a)
+    return _certificate(payoff, target, _clean_policy(col_w), pivots)
 
 
 def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     """Solve the ratio family's game and measure the miss against the target.
 
-    The gap is the total-variation distance between the solver's row
-    strategy and the target.  The attached certificate matters when the gap
-    is positive: the target could still be an optimal strategy the solver
-    simply did not return.  It is ``kkt_verify``'s verdict with the
-    solve's own column strategy as ``u``, so no second LP runs, and its
-    debug line counts the solve's pivots.  A feasible certificate proves
-    the target optimal, and an infeasible one rules that out.
+    The game is solved by one LP (``lps=1`` in its debug line) with no
+    phase 1: Dantzig's LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0,
+    which ``kkt_verify`` solves.  z / Σz is the column strategy, the slack
+    columns' final reduced costs give the row strategy, Σz gives the
+    value, and the pair is certified by its exploitability as in
+    ``solve_maximin``.  The gap is the total-variation distance between
+    that row strategy and the target.  The attached certificate matters
+    when the gap is positive: the target could still be an optimal
+    strategy the solve simply did not return.  It is ``kkt_verify``'s
+    verdict with the solve's own column strategy as ``u``, so no second
+    LP runs, and its debug line counts the solve's pivots.  A feasible
+    certificate proves the target optimal, and an infeasible one rules
+    that out.
     """
     payoff = ratio_payoff(spec, target)
-    nash = solve_maximin(payoff)
+    col_w, row_w, value, pivots = _dantzig_lp(payoff.a)
+    nash = _certified_report(payoff, _span(payoff.a), row_w, col_w, value, 1, pivots)
     gap = 0.5 * float(np.abs(nash.row_strategy.w - target.w).sum())
     certificate = _certificate(payoff, target, nash.col_strategy, nash.solver_iterations)
     return ProbeReport(gap=gap, kkt=certificate, nash=nash)

@@ -5,8 +5,10 @@ by introducing the guaranteed value as an epigraph variable; the column
 player's problem is the same program on the negated transpose.  When the
 game is skew-symmetric (A = -A^T, as under any symmetric mapping) that
 program is the row player's own, so it is solved once; otherwise both are
-solved.  Every reported pair is certified by its exploitability, the
-distance from mutual best response, relative to the payoff span.
+solved.  ``_dantzig_lp`` gets both strategies from one phase-1-free LP
+instead (Dantzig 1951), which ``kkt_verify`` and ``pm_gap`` solve.  Every
+reported pair is certified by its exploitability, the distance from
+mutual best response, relative to the payoff span.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import OPTIMAL, optimal_face_ranges, solve_standard_lp
+from ._simplex import OPTIMAL, optimal_face_ranges, slack_basis_lp, solve_standard_lp
 from .core import (
     SUPPORT_THRESHOLD,
     PayoffMatrix,
@@ -133,6 +135,60 @@ def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     return result.x[: a.shape[0]], value, result.iterations
 
 
+def _dantzig_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Both players' strategies of payoff array ``a`` from one LP.
+
+    Dantzig's (1951) LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0, on the
+    payoff Â = (a - min) / span mapped onto [0, 1], starts from its
+    feasible slack basis, so no phase 1 runs.  Returns ``(column weights
+    z, row weights, value, pivots)``, where z / Σz is an optimal column
+    strategy, the row weights are the slack columns' final reduced costs,
+    the LP's dual, which are proportional to an optimal row strategy, and
+    Â's value is 1 / Σz - 1.
+    """
+    unit, low, span = _unit_span(a)
+    result, work, _ = slack_basis_lp(1.0 + unit)
+    n = a.shape[1]
+    value = low + span * (-1.0 / result.objective - 1.0)
+    return result.x[:n], work[-1, n : 2 * n], value, result.iterations
+
+
+def _certified_report(
+    payoff: PayoffMatrix, span: float, row_w: np.ndarray, col_w: np.ndarray, value: float, lps: int, iterations: int
+) -> NashReport:
+    """Clip and normalize both strategies, certify them and log the solve.
+
+    ``col_w`` may be ``row_w`` itself, and then one policy is both
+    strategies.  Raises ``SolverError`` if the pair's exploitability
+    exceeds ``DEFAULT_SOLVER_TOL`` times ``span``: the LPs lost accuracy,
+    and the pair is not an equilibrium.
+    """
+    row = _clean_policy(row_w)
+    col = row if col_w is row_w else _clean_policy(col_w)
+    exploitability = best_response_gap(payoff, row, col)
+    if exploitability > DEFAULT_SOLVER_TOL * span:
+        raise SolverError(
+            f"exploitability {exploitability} exceeds {DEFAULT_SOLVER_TOL} x payoff span {span}; "
+            "the LP solve lost accuracy"
+        )
+    logger.debug(
+        "maximin solved: n=%d lps=%d value=%.12g exploitability=%.3g span=%.3g iterations=%d",
+        payoff.n,
+        lps,
+        value,
+        exploitability,
+        span,
+        iterations,
+    )
+    return NashReport(
+        row_strategy=row,
+        col_strategy=col,
+        value=float(value),
+        exploitability=exploitability,
+        solver_iterations=iterations,
+    )
+
+
 def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     """Solve the zero-sum game with payoff matrix ``payoff``.
 
@@ -153,30 +209,7 @@ def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     # strategies and the "+ 0.0" value drop, so reuse is bit-identical.
     skew = np.array_equal(neg_t, a)
     col_w, _, iters_col = (row_w, value, 0) if skew else _maximin_lp(neg_t)
-    row = _clean_policy(row_w)
-    col = row if skew else _clean_policy(col_w)
-    exploitability = best_response_gap(payoff, row, col)
-    if exploitability > DEFAULT_SOLVER_TOL * span:
-        raise SolverError(
-            f"exploitability {exploitability} exceeds {DEFAULT_SOLVER_TOL} x payoff span {span}; "
-            "the LP solve lost accuracy"
-        )
-    logger.debug(
-        "maximin solved: n=%d lps=%d value=%.12g exploitability=%.3g span=%.3g iterations=%d",
-        payoff.n,
-        1 if skew else 2,
-        value,
-        exploitability,
-        span,
-        iters_row + iters_col,
-    )
-    return NashReport(
-        row_strategy=row,
-        col_strategy=col,
-        value=float(value),
-        exploitability=exploitability,
-        solver_iterations=iters_row + iters_col,
-    )
+    return _certified_report(payoff, span, row_w, col_w, value, 1 if skew else 2, iters_row + iters_col)
 
 
 def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:

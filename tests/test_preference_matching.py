@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
-from prefgame import _simplex, preference_matching
+from prefgame import _simplex
 from support_enumeration import game_value
 
 
@@ -214,18 +214,16 @@ class TestKKT:
         "spec, feasible", [(pg.btl_family(), False), (pg.degenerate_family(3), True)], ids=["btl", "degenerate"]
     )
     def test_probe_certificate_runs_no_phase_one(self, monkeypatch, spec, feasible):
-        # The certificate reuses the probe's own solve, the only LP it runs.
-        target = pg.make_policy([0.2, 0.3, 0.5])
-        nash = pg.solve_maximin(pg.ratio_payoff(spec, target))
-
+        # The probe solves one slack-basis LP, which needs no phase 1, and the
+        # certificate reuses that solve's column strategy.
         def refuse(a, b):
-            raise AssertionError("pm_gap ran phase 1 beyond its solve")
+            raise AssertionError("pm_gap ran phase 1")
 
-        monkeypatch.setattr(preference_matching, "solve_maximin", lambda payoff: nash)
         monkeypatch.setattr(_simplex, "_phase_one", refuse)
+        target = pg.make_policy([0.2, 0.3, 0.5])
         probe = pg.pm_gap(spec, target)
         assert probe.kkt.feasible is feasible
-        assert probe.kkt.u is (nash.col_strategy if feasible else None)
+        assert probe.kkt.u is (probe.nash.col_strategy if feasible else None)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -261,6 +259,19 @@ class TestKKT:
         verdict = "feasible" if feasible else "infeasible"
         assert lines[0].startswith(f"kkt {verdict}: n=3 t={cert.t:.12g} gap=")
         assert " span=" in lines[0] and " pivots=" in lines[0]
+
+    def test_probe_logs_one_solve_and_one_verdict(self, caplog):
+        target = pg.make_policy([0.2, 0.3, 0.5])
+        with caplog.at_level(logging.DEBUG, logger="prefgame"):
+            probe = pg.pm_gap(pg.btl_family(), target)
+        messages = [r.getMessage() for r in caplog.records]
+        solves = [m for m in messages if m.startswith("maximin solved:")]
+        verdicts = [m for m in messages if m.startswith("kkt ")]
+        assert len(solves) == 1 and len(verdicts) == 1
+        assert solves[0].startswith("maximin solved: n=3 lps=1 ")
+        pivots = probe.nash.solver_iterations
+        assert solves[0].endswith(f" iterations={pivots}")
+        assert verdicts[0].endswith(f" pivots={pivots}")
 
     def test_dict_shape(self):
         pay = pg.make_payoff([[0.0, 1.0], [1.0, 0.0]])
@@ -310,6 +321,40 @@ class TestRatioFamilies:
         target = pg.make_policy(w / w.sum())
         cert = pg.kkt_verify(pg.ratio_payoff(fam, target), target)
         assert cert.feasible is False
+
+    @staticmethod
+    def sweep_target(k):
+        # Rewards N(0, σ) from SeedSequence([7, k]), σ = 1 + k mod 4, at n = 2 + (k div 4) mod 23.
+        n = 2 + (k // 4) % 23
+        rng = np.random.default_rng(np.random.SeedSequence([7, k]))
+        return n, pg.pm_policy(pg.make_btl(rng.normal(0.0, 1 + k % 4, size=n)))
+
+    # On these targets solve_maximin's phase 1 raises "phase-1 subproblem
+    # cannot be unbounded"; the probe's slack-basis LP has no phase 1.
+    def test_probe_solves_degenerate_family_at_its_own_size(self):
+        n, target = self.sweep_target(15)
+        assert n == 5
+        probe = pg.pm_gap(pg.degenerate_family(n), target)
+        span = float(np.ptp(pg.ratio_payoff(pg.degenerate_family(n), target).a))
+        assert probe.nash.value == pytest.approx(n - 1, abs=1e-9 * span)
+
+    def test_probe_solves_btl_family_at_a_wide_target(self):
+        n, target = self.sweep_target(127)
+        assert n == 10
+        probe = pg.pm_gap(pg.btl_family(), target)
+        assert probe.nash.value == pytest.approx(0.5, abs=1e-9)
+        assert probe.nash.row_strategy.w[np.argmax(target.w)] == pytest.approx(1.0, abs=1e-9)
+        assert not probe.kkt.feasible
+
+    def test_probe_solves_mismatched_degenerate_family(self):
+        n, target = self.sweep_target(318)
+        assert n == 12
+        spec = pg.degenerate_family(n + 1)
+        pay = pg.ratio_payoff(spec, target)
+        probe = pg.pm_gap(spec, target)
+        gap = pg.best_response_gap(pay, probe.nash.row_strategy, probe.nash.col_strategy)
+        assert gap <= 1e-9 * float(np.ptp(pay.a))
+        assert probe.kkt.feasible == pg.kkt_verify(pay, target).feasible
 
     def test_nonfinite_ratio_values_raise(self):
         spec = pg.RatioPayoffSpec(f=lambda x: np.log(x - 10.0), diagonal_c=0.0)

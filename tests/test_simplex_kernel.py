@@ -139,6 +139,21 @@ def test_infeasible_lp_at_the_pivot_tolerance():
     assert result.status == INFEASIBLE
 
 
+@pytest.mark.xfail(
+    raises=pg.SolverError,
+    strict=True,
+    reason="open FOUND in CHANGES.md: phase 1 enters a column whose entries sit at PIVOT_TOL, stops as "
+    "unbounded, and its recompute still sees another column improving, so it raises instead of reporting infeasible",
+)
+def test_infeasible_lp_drawn_with_entries_at_the_pivot_tolerance():
+    # test_infeasible_lps drew this LP: rows 0 and 2 differ only in b.  Bland's
+    # rule enters column 3, whose entries are exactly PIVOT_TOL, and phase 1
+    # raises "phase-1 subproblem cannot be unbounded".
+    a = np.array([[0.0, 0.0, 0.0, 1e-10, 1.0], [0.0] * 5, [0.0, 0.0, 0.0, 1e-10, 1.0]])
+    result = solve_standard_lp(np.zeros(5), a, np.array([0.0, 0.0, 0.5]))
+    assert result.status == INFEASIBLE
+
+
 def test_every_status_in_one_sweep():
     # The kinds of LP above do reach every status, including different
     # statuses for objectives over the same constraints.
