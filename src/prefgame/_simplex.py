@@ -139,16 +139,21 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     red[n : n + m] += 1.0
     buf = np.empty_like(work)
     iterations, status = _iterate(work, buf, basis, n + m, 0)
-    if status != OPTIMAL:
+    while status != OPTIMAL:
         # Phase 1 is bounded below by zero, so this is round-off in the
-        # reduced costs.  Recomputed from the rows of the basic artificials,
-        # they can still prove the LP infeasible; otherwise the solve failed.
-        # A column improves only if it also has an entry to pivot on.
+        # reduced costs.  They are recomputed from the rows of the basic
+        # artificials; with no artificial mass left the solve failed.
         red[:] = -work[:m][basis >= n].sum(axis=0)
         red[n : n + m] += 1.0
-        improving = (red[: n + m] < -PIVOT_TOL) & (work[:m, : n + m] > PIVOT_TOL).any(axis=0)
-        if improving.any() or -red[-1] <= FEAS_TOL:
+        if -red[-1] <= FEAS_TOL:
             raise SolverError("phase-1 subproblem cannot be unbounded")
+        # A column improves only if it also has an entry to pivot on.  The
+        # others are priced out, and phase 1 resumes from this basis: it
+        # stops at once when no column improves, and otherwise pivots at
+        # least once per round, so the iteration cap bounds the rounds.
+        stuck = (red[: n + m] < 0.0) & ~(work[:m, : n + m] > PIVOT_TOL).any(axis=0)
+        red[: n + m][stuck] = 0.0
+        iterations, status = _iterate(work, buf, basis, n + m, iterations)
     artificial_mass = -red[-1]
     if artificial_mass > FEAS_TOL:
         return None, None, iterations

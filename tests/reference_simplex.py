@@ -54,12 +54,14 @@ def _phase_one(a, b):
     red = np.concatenate([-tableau[:, : n + m].sum(axis=0), [-b.sum()]])
     red[n : n + m] += 1.0
     iterations, status = _iterate(tableau, red, basis, n + m, 0)
-    if status != OPTIMAL:
+    while status != OPTIMAL:
         red = -tableau[basis >= n].sum(axis=0)
         red[n : n + m] += 1.0
-        improving = (red[: n + m] < -PIVOT_TOL) & (tableau[:, : n + m] > PIVOT_TOL).any(axis=0)
-        if improving.any() or -red[-1] <= FEAS_TOL:
+        if -red[-1] <= FEAS_TOL:
             raise SolverError("phase-1 subproblem cannot be unbounded")
+        stuck = (red[: n + m] < 0.0) & ~(tableau[:, : n + m] > PIVOT_TOL).any(axis=0)
+        red[: n + m][stuck] = 0.0
+        iterations, status = _iterate(tableau, red, basis, n + m, iterations)
     artificial_mass = -red[-1]
     if artificial_mass > FEAS_TOL:
         return None, None, iterations

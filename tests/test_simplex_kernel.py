@@ -139,18 +139,34 @@ def test_infeasible_lp_at_the_pivot_tolerance():
     assert result.status == INFEASIBLE
 
 
-@pytest.mark.xfail(
-    raises=pg.SolverError,
-    strict=True,
-    reason="open FOUND in CHANGES.md: phase 1 enters a column whose entries sit at PIVOT_TOL, stops as "
-    "unbounded, and its recompute still sees another column improving, so it raises instead of reporting infeasible",
-)
-def test_infeasible_lp_drawn_with_entries_at_the_pivot_tolerance():
-    # test_infeasible_lps drew this LP: rows 0 and 2 differ only in b.  Bland's
-    # rule enters column 3, whose entries are exactly PIVOT_TOL, and phase 1
-    # raises "phase-1 subproblem cannot be unbounded".
-    a = np.array([[0.0, 0.0, 0.0, 1e-10, 1.0], [0.0] * 5, [0.0, 0.0, 0.0, 1e-10, 1.0]])
-    result = solve_standard_lp(np.zeros(5), a, np.array([0.0, 0.0, 0.5]))
+DRAWN_AT_THE_PIVOT_TOLERANCE = [
+    # Rows 0 and 2 differ only in b.  Bland's rule enters column 3, whose
+    # entries are exactly PIVOT_TOL, so phase 1 stops as unbounded while
+    # column 4 still improves.
+    (np.array([[0.0, 0.0, 0.0, 1e-10, 1.0], [0.0] * 5, [0.0, 0.0, 0.0, 1e-10, 1.0]]), np.array([0.0, 0.0, 0.5])),
+    # Rows 0 and 2 differ only in b.  After one pivot column 5's entries are
+    # -1, PIVOT_TOL and 0, so phase 1 stops as unbounded while column 6
+    # still improves, by a pivot of ratio zero.
+    (
+        np.array(
+            [
+                [0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+                [0.0, 1e-10, 0.0, 0.0, 0.0, 0.0, 1.0],
+                [0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+            ]
+        ),
+        np.array([0.0, 0.0, -1.0]),
+    ),
+]
+
+
+@pytest.mark.parametrize(("a", "b"), DRAWN_AT_THE_PIVOT_TOLERANCE, ids=["entering-column", "after-a-pivot"])
+def test_infeasible_lp_drawn_with_entries_at_the_pivot_tolerance(a, b):
+    # test_infeasible_lps drew these LPs.  The stalled column has nothing to
+    # pivot on, so it is priced out, and phase 1 resumes from its basis
+    # until the artificial mass left proves the LP infeasible.
+    (result,) = assert_same([np.zeros(a.shape[1])], a, b)
+    assert isinstance(result, LPResult), result
     assert result.status == INFEASIBLE
 
 
