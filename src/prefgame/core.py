@@ -240,9 +240,3 @@ def _require_same_n(name: str, n: int, others: str, *sizes: int) -> None:
     if any(size != n for size in sizes):
         listed = " and ".join(f"n={size}" for size in sizes)
         raise ValidationError(f"dimension mismatch: {name} n={n}, {others} {listed}")
-
-
-def total_payoff(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
-    """Expected payoff of ``pi1`` against ``pi2``: the bilinear form w1' A w2."""
-    _require_same_n("payoff", payoff.n, "policies", pi1.n, pi2.n)
-    return float(pi1.w @ payoff.a @ pi2.w)

@@ -36,8 +36,8 @@ from .solver import (
     _certified_report,
     _clean_policy,
     _dantzig_lp,
+    _pair_payoffs,
     _span,
-    best_response_gap,
 )
 
 logger = logging.getLogger(__name__)
@@ -203,12 +203,10 @@ def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpe
     return RatioPayoffSpec(f=f, diagonal_c=c)
 
 
-def _certificate(payoff: PayoffMatrix, target: Policy, u: Policy, pivots: int) -> KKTCertificate:
+def _certificate(payoff: PayoffMatrix, span: float, target: Policy, u: Policy, pivots: int) -> KKTCertificate:
     """The weak-duality verdict on ``target`` from column strategy ``u``, which ``pivots`` pivots gave."""
-    column_payoffs = target.w @ payoff.a
-    t = float(np.min(column_payoffs))
+    column_payoffs, t, gap = _pair_payoffs(payoff, target, u)
     column_slacks = _as_readonly(column_payoffs - t)
-    gap, span = best_response_gap(payoff, target, u), _span(payoff.a)
     feasible = gap <= DEFAULT_VERIFY_TOL * span
     verdict = "feasible" if feasible else "infeasible"
     logger.debug("kkt %s: n=%d t=%.12g gap=%.3g span=%.3g pivots=%d", verdict, payoff.n, t, gap, span, pivots)
@@ -235,8 +233,8 @@ def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     """
     _require_same_n("payoff", payoff.n, "target", target.n)
     _require_full_support(target, "kkt_verify")
-    col_w, _, _, pivots = _dantzig_lp(payoff.a)
-    return _certificate(payoff, target, _clean_policy(col_w), pivots)
+    col_w, _, pivots = _dantzig_lp(payoff.a)
+    return _certificate(payoff, _span(payoff.a), target, _clean_policy(col_w), pivots)
 
 
 def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
@@ -245,8 +243,8 @@ def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     The game is solved by one LP (``lps=1`` in its debug line) with no
     phase 1: Dantzig's LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0,
     which ``kkt_verify`` solves.  z / Σz is the column strategy, the slack
-    columns' final reduced costs give the row strategy, Σz gives the
-    value, and the pair is certified by its exploitability as in
+    columns' final reduced costs give the row strategy, whose guarantee
+    is the value, and the pair is certified by its exploitability as in
     ``solve_maximin``.  The gap is the total-variation distance between
     that row strategy and the target.  The attached certificate matters
     when the gap is positive: the target could still be an optimal
@@ -257,8 +255,9 @@ def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     that out.
     """
     payoff = ratio_payoff(spec, target)
-    col_w, row_w, value, pivots = _dantzig_lp(payoff.a)
-    nash = _certified_report(payoff, _span(payoff.a), row_w, col_w, value, 1, pivots)
+    span = _span(payoff.a)
+    col_w, row_w, pivots = _dantzig_lp(payoff.a)
+    nash = _certified_report(payoff, span, row_w, col_w, 1, pivots)
     gap = 0.5 * float(np.abs(nash.row_strategy.w - target.w).sum())
-    certificate = _certificate(payoff, target, nash.col_strategy, nash.solver_iterations)
+    certificate = _certificate(payoff, span, target, nash.col_strategy, nash.solver_iterations)
     return ProbeReport(gap=gap, kkt=certificate, nash=nash)

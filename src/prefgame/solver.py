@@ -41,10 +41,10 @@ DEFAULT_VERIFY_TOL = 1e-8
 class NashReport(Record):
     """Solution of a zero-sum game from both sides.
 
-    ``row_strategy`` attains ``value`` as a guaranteed minimum over columns;
-    ``col_strategy`` caps the row player at ``value`` from above.
-    ``exploitability`` is ``best_response_gap`` of the two strategies, at
-    most ``DEFAULT_SOLVER_TOL`` times the payoff span.
+    ``value`` is the row strategy's exact guarantee min(xᵀA); the game's
+    value lies in [value, value + ``exploitability``], where
+    ``exploitability`` = max(A y) - value, the pair's ``best_response_gap``,
+    is at most ``DEFAULT_SOLVER_TOL`` times the payoff span.
     ``solver_iterations`` counts the simplex pivots of every LP solved.
     """
 
@@ -62,8 +62,9 @@ class UniquenessReport(Record):
     ``coordinate_ranges[i]`` is the [min, max] of the i-th strategy weight
     over all optimal row strategies, read off the optimal face of Dantzig's
     LP for the row player; ``unique`` means every range has width at most
-    ``DEFAULT_VERIFY_TOL``.  ``face_vertex`` says the face was the LP's
-    final vertex alone, so the ranges were read off it with no range LP.
+    ``DEFAULT_VERIFY_TOL``.  ``column_slacks`` are xᵀA minus its minimum.
+    ``face_vertex`` says the face was the LP's final vertex alone, so the
+    ranges were read off it with no range LP.
     """
 
     unique: bool
@@ -126,46 +127,53 @@ def _maximin_program(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return c, a_eq, b_eq
 
 
-def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Best guaranteed value for the row player of payoff array ``a``."""
+def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Optimal row-strategy weights of payoff array ``a`` and the pivots that found them."""
     result = solve_standard_lp(*_maximin_program(a))
     if result.status != OPTIMAL:
         raise SolverError(f"maximin LP ended with status {result.status}")
-    value = -result.objective + 0.0  # avoid reporting negative zero
-    return result.x[: a.shape[0]], value, result.iterations
+    return result.x[: a.shape[0]], result.iterations
 
 
-def _dantzig_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _dantzig_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Both players' strategies of payoff array ``a`` from one LP.
 
     Dantzig's (1951) LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0, on the
     payoff Â = (a - min) / span mapped onto [0, 1], starts from its
     feasible slack basis, so no phase 1 runs.  Returns ``(column weights
-    z, row weights, value, pivots)``, where z / Σz is an optimal column
-    strategy, the row weights are the slack columns' final reduced costs,
-    the LP's dual, which are proportional to an optimal row strategy, and
-    Â's value is 1 / Σz - 1.
+    z, row weights, pivots)``, where z / Σz is an optimal column strategy
+    and the row weights are the slack columns' final reduced costs, the
+    LP's dual, which are proportional to an optimal row strategy.
     """
-    unit, low, span = _unit_span(a)
-    result, work, _ = slack_basis_lp(1.0 + unit)
+    result, work, _ = slack_basis_lp(1.0 + _unit_span(a)[0])
     n = a.shape[1]
-    value = low + span * (-1.0 / result.objective - 1.0)
-    return result.x[:n], work[-1, n : 2 * n], value, result.iterations
+    return result.x[:n], work[-1, n : 2 * n], result.iterations
+
+
+def _pair_payoffs(payoff: PayoffMatrix, x: Policy, y: Policy) -> tuple[np.ndarray, float, float]:
+    """What the pair (x, y) is worth: xᵀA, x's guarantee min(xᵀA) and the gap max(A y) - min(xᵀA).
+
+    The guarantee drops a negative zero; the game's value lies in [guarantee, guarantee + gap].
+    """
+    column_payoffs = x.w @ payoff.a
+    low = np.min(column_payoffs)
+    return column_payoffs, float(low) + 0.0, float(np.max(payoff.a @ y.w) - low)
 
 
 def _certified_report(
-    payoff: PayoffMatrix, span: float, row_w: np.ndarray, col_w: np.ndarray, value: float, lps: int, iterations: int
+    payoff: PayoffMatrix, span: float, row_w: np.ndarray, col_w: np.ndarray, lps: int, iterations: int
 ) -> NashReport:
     """Clip and normalize both strategies, certify them and log the solve.
 
     ``col_w`` may be ``row_w`` itself, and then one policy is both
-    strategies.  Raises ``SolverError`` if the pair's exploitability
-    exceeds ``DEFAULT_SOLVER_TOL`` times ``span``: the LPs lost accuracy,
-    and the pair is not an equilibrium.
+    strategies; ``_pair_payoffs`` gives the value and exploitability.
+    Raises ``SolverError`` if the exploitability exceeds
+    ``DEFAULT_SOLVER_TOL`` times ``span``: the LPs lost accuracy, and the
+    pair is not an equilibrium.
     """
     row = _clean_policy(row_w)
     col = row if col_w is row_w else _clean_policy(col_w)
-    exploitability = best_response_gap(payoff, row, col)
+    _, value, exploitability = _pair_payoffs(payoff, row, col)
     if exploitability > DEFAULT_SOLVER_TOL * span:
         raise SolverError(
             f"exploitability {exploitability} exceeds {DEFAULT_SOLVER_TOL} x payoff span {span}; "
@@ -183,7 +191,7 @@ def _certified_report(
     return NashReport(
         row_strategy=row,
         col_strategy=col,
-        value=float(value),
+        value=value,
         exploitability=exploitability,
         solver_iterations=iterations,
     )
@@ -203,13 +211,13 @@ def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     a = payoff.a
     span = _span(a)
     neg_t = -a.T
-    row_w, value, iters_row = _maximin_lp(a)
+    row_w, iters_row = _maximin_lp(a)
     # array_equal counts the -0.0 on the diagonal of -a.T equal to a's 0.0; a
     # signed zero only changes signs of zeros in the LP, which the clipped
-    # strategies and the "+ 0.0" value drop, so reuse is bit-identical.
+    # strategies drop, so reuse is bit-identical.
     skew = np.array_equal(neg_t, a)
-    col_w, _, iters_col = (row_w, value, 0) if skew else _maximin_lp(neg_t)
-    return _certified_report(payoff, span, row_w, col_w, value, 1 if skew else 2, iters_row + iters_col)
+    col_w, iters_col = (row_w, 0) if skew else _maximin_lp(neg_t)
+    return _certified_report(payoff, span, row_w, col_w, 1 if skew else 2, iters_row + iters_col)
 
 
 def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
@@ -220,7 +228,7 @@ def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
     regret against ``pi1``, in which the pair's own payoff cancels.
     """
     _require_same_n("payoff", payoff.n, "policies", pi1.n, pi2.n)
-    return float(np.max(payoff.a @ pi2.w) - np.min(pi1.w @ payoff.a))
+    return _pair_payoffs(payoff, pi1, pi2)[2]
 
 
 def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessReport:
@@ -239,8 +247,8 @@ def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessRepor
     n = payoff.n
     _require_same_n("payoff", n, "report", nash.row_strategy.n, nash.col_strategy.n)
     unit, low, span = _unit_span(a)
-    w = nash.row_strategy.w
-    column_slacks = w @ a - nash.value
+    column_payoffs, guarantee, _ = _pair_payoffs(payoff, nash.row_strategy, nash.col_strategy)
+    column_slacks = column_payoffs - guarantee
     dual_support_full = bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD))
     # Dantzig's LP: y / sum(y) ranges over the optimal row strategies, and
     # sum(y) is 1 / (2 - value) on the whole face.

@@ -10,11 +10,17 @@ import itertools
 
 import numpy as np
 
-from prefgame.core import PayoffMatrix, Policy, ValidationError, _as_readonly
+from prefgame.core import PayoffMatrix, Policy, ValidationError, _as_readonly, _require_same_n
 from prefgame.solver import DEFAULT_VERIFY_TOL
 
 DEDUP_TOL = 1e-7
 DEFAULT_MAX_ENUM_N = 8
+
+
+def total_payoff(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
+    """Expected payoff of ``pi1`` against ``pi2``: the bilinear form w1' A w2."""
+    _require_same_n("payoff", payoff.n, "policies", pi1.n, pi2.n)
+    return float(pi1.w @ payoff.a @ pi2.w)
 
 
 def _support_system(a: np.ndarray, own: tuple[int, ...], other: tuple[int, ...], row_side: bool):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
 from prefgame.core import Record
+from support_enumeration import total_payoff
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
 
@@ -185,7 +186,7 @@ def test_total_payoff_known_value():
     pay = pg.make_payoff([[1.0, 2.0], [3.0, 4.0]])
     x = pg.make_policy([0.25, 0.75])
     y = pg.make_policy([0.5, 0.5])
-    assert pg.total_payoff(pay, x, y) == pytest.approx(0.25 * 1.5 + 0.75 * 3.5)
+    assert total_payoff(pay, x, y) == pytest.approx(0.25 * 1.5 + 0.75 * 3.5)
 
 
 @pytest.mark.parametrize(
@@ -206,7 +207,7 @@ def test_dimension_mismatch_messages(name, message):
         "kkt_verify": (two,),
     }[name]
     with pytest.raises(pg.ValidationError) as info:
-        getattr(pg, name)(pg.make_payoff(np.eye(3)), *args)
+        (total_payoff if name == "total_payoff" else getattr(pg, name))(pg.make_payoff(np.eye(3)), *args)
     assert str(info.value) == message
 
 
@@ -224,8 +225,8 @@ def test_total_payoff_bilinear(a, u, v, y, alpha):
     pv = pg.make_policy(v / v.sum())
     py = pg.make_policy(y / y.sum())
     mix = pg.make_policy(alpha * pu.w + (1.0 - alpha) * pv.w)
-    left = pg.total_payoff(pay, mix, py)
-    right = alpha * pg.total_payoff(pay, pu, py) + (1.0 - alpha) * pg.total_payoff(pay, pv, py)
+    left = total_payoff(pay, mix, py)
+    right = alpha * total_payoff(pay, pu, py) + (1.0 - alpha) * total_payoff(pay, pv, py)
     assert left == pytest.approx(right, abs=1e-9)
 
 

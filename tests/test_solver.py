@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
 from prefgame import _simplex, solver
 from prefgame._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, optimal_face_ranges, solve_standard_lp
-from support_enumeration import enumerate_equilibria
+from support_enumeration import enumerate_equilibria, total_payoff
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
 
@@ -131,6 +131,74 @@ class TestMaximin:
             assert pg.best_response_gap(shifted, nash.row_strategy, nash.col_strategy) <= 1e-7
 
 
+def assert_value_is_the_guarantee(payoff, nash):
+    """The report's value is its row strategy's guarantee, bit for bit, its
+    exploitability the gap above it, and its column slacks start at 0."""
+    a = payoff.a
+    value = float(np.min(nash.row_strategy.w @ a)) + 0.0
+    assert np.float64(nash.value).tobytes() == np.float64(value).tobytes()
+    gap = float(np.max(a @ nash.col_strategy.w)) - nash.value
+    assert np.float64(nash.exploitability).tobytes() == np.float64(gap).tobytes()
+    slacks = pg.uniqueness_report(payoff, nash).column_slacks
+    assert slacks.min() == 0.0 and np.all(slacks >= 0.0)
+
+
+VALUE_MAPPINGS = {
+    "identity": pg.identity,
+    "log_odds": pg.log_odds,
+    "piecewise_constant": lambda: pg.piecewise_constant(-1.0, 0.0, 1.0),
+    "power": lambda: pg.power(2.0),
+}
+
+
+class TestValueIsTheGuarantee:
+    def test_wide_btl_target(self):
+        # The row LP's objective put this game's value 3.49e-9 below the
+        # guarantee of its own row strategy, whose exploitability is 0, and
+        # uniqueness_report's slacks started at that miss.
+        rewards = np.random.default_rng([7, 40, 19, 5]).normal(0.0, 4.0, size=19)
+        pay = pg.ratio_payoff(pg.btl_family(), pg.pm_policy(pg.make_btl(rewards)))
+        nash = pg.solve_maximin(pay)
+        assert nash.value == float(np.min(nash.row_strategy.w @ pay.a)) == 0.5
+        assert pg.uniqueness_report(pay, nash).column_slacks.min() == 0.0
+
+    @pytest.mark.parametrize("n, seed", [(3, 36), (5, 23), (5, 31), (6, 0), (6, 26), (6, 32)])
+    def test_affine_scaled_value_passes_the_face_check(self, n, seed):
+        # Under affine(1e-6, 0) the row LP's objective missed the value 5e-7 by
+        # up to 3.4 % of the span, with exploitability 0, and uniqueness_report
+        # rejected the report.
+        pay = mapped_tournament(pg.affine(1e-6, 0.0), n, seed)
+        nash = pg.solve_maximin(pay)
+        assert nash.value == pytest.approx(5e-7, rel=1e-9, abs=0.0)
+        assert pg.uniqueness_report(pay, nash).unique
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(VALUE_MAPPINGS)))
+    def test_solved_games(self, n, seed, kind):
+        pay = mapped_tournament(VALUE_MAPPINGS[kind](), n, seed)
+        try:
+            nash = pg.solve_maximin(pay)
+        except pg.SolverError:
+            assume(False)
+        assert_value_is_the_guarantee(pay, nash)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        rewards=st.integers(2, 10).flatmap(lambda n: arrays(np.float64, n, elements=st.floats(-4.0, 4.0))),
+        family=st.sampled_from(["btl", "degenerate", "mismatched"]),
+    )
+    def test_probe_games(self, rewards, family):
+        target = pg.pm_policy(pg.make_btl(rewards))
+        n = target.n
+        spec = {
+            "btl": pg.btl_family(),
+            "degenerate": pg.degenerate_family(n),
+            "mismatched": pg.degenerate_family(n + 1),
+        }[family]
+        probe = pg.pm_gap(spec, target)
+        assert_value_is_the_guarantee(pg.ratio_payoff(spec, target), probe.nash)
+
+
 def test_best_response_gap_pinned():
     pay = rps_game()
     gap = pg.best_response_gap(pay, pg.Policy.delta(0, 3), pg.Policy.uniform(3))
@@ -206,7 +274,7 @@ class TestEnumeration:
             pay = pg.make_payoff(rng.uniform(-2.0, 2.0, size=(n, n)))
             for x, y, value in enumerate_equilibria(pay):
                 assert pg.best_response_gap(pay, x, y) <= 1e-8
-                assert pg.total_payoff(pay, x, y) == pytest.approx(value, abs=1e-9)
+                assert total_payoff(pay, x, y) == pytest.approx(value, abs=1e-9)
 
     def test_deduplication(self):
         eqs = enumerate_equilibria(rps_game())
@@ -499,12 +567,14 @@ class TestSharedPhaseOne:
 
 
 def two_lp_reference(payoff):
-    """What ``solve_maximin`` reports when both players' LPs are run."""
+    """What ``solve_maximin`` reports when both players' LPs are run: both
+    strategies, the row strategy's guarantee, the pair's gap and the pivots."""
     a = payoff.a
-    row_w, value, _ = solver._maximin_lp(a)
-    col_w, _, _ = solver._maximin_lp(-a.T)
+    row_w, row_pivots = solver._maximin_lp(a)
+    col_w, col_pivots = solver._maximin_lp(-a.T)
     row, col = solver._clean_policy(row_w), solver._clean_policy(col_w)
-    return row.w, col.w, value, pg.best_response_gap(payoff, row, col)
+    guarantee = float(np.min(row.w @ a)) + 0.0
+    return row.w, col.w, guarantee, pg.best_response_gap(payoff, row, col), (row_pivots, col_pivots)
 
 
 def mapped_tournament(mapping, n, seed):
@@ -526,7 +596,7 @@ def maximin_lp_calls(monkeypatch):
 
     def counting(a):
         result = original(a)
-        calls.append(result[2])
+        calls.append(result[1])
         return result
 
     monkeypatch.setattr(solver, "_maximin_lp", counting)
@@ -540,11 +610,13 @@ class TestSkewSymmetricGames:
         pay = mapped_tournament(SKEW_MAPPINGS[kind](), n, seed=1)
         assert np.array_equal(-pay.a.T, pay.a)
         nash = pg.solve_maximin(pay)
-        row_w, col_w, value, gap = two_lp_reference(pay)
+        row_w, col_w, value, gap, (row_pivots, col_pivots) = two_lp_reference(pay)
         assert nash.row_strategy.w.tobytes() == row_w.tobytes()
         assert nash.col_strategy.w.tobytes() == col_w.tobytes()
         assert np.float64(nash.value).tobytes() == np.float64(value).tobytes()
         assert np.float64(nash.exploitability).tobytes() == np.float64(gap).tobytes()
+        # The skew game's two LPs are the same program, so they pivot alike.
+        assert nash.solver_iterations == row_pivots == col_pivots
 
     def test_failing_game_fails_with_the_same_message(self):
         pay = mapped_tournament(SKEW_MAPPINGS["piecewise_constant"](), 45, seed=2)
