@@ -1,8 +1,9 @@
 """Command-line front end: parse arguments, call the library, print reports.
 
-Each subcommand loads its inputs, makes one library call and emits one
-report, to stdout as JSON (``--format json``) or as a plain key/value table
-(default).  Exit codes: 0 on success, 1 when a requested verification found
+Each subcommand handler loads its inputs, makes one library call and returns
+one report with whether its check passed; ``run`` writes the report, as JSON
+(``--format json``) or as a plain key/value table (default), to stdout or
+``--out``.  Exit codes: 0 on success, 1 when a requested verification found
 a violation, 2 on invalid input.
 """
 
@@ -58,7 +59,8 @@ def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        # A RecursionError is a nesting too deep for the parser.
+        except (ValueError, RecursionError) as exc:
             raise _UnreadableInput(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise _UnreadableInput(f"{path}: JSON top level must be an object, got {type(data).__name__}")
@@ -138,61 +140,37 @@ def _render_table(data: dict, indent: int = 0) -> list[str]:
     return lines
 
 
-def emit(data: dict, args) -> None:
-    if args.format == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(_render_table(data)) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[dict, bool]:
     try:
         pref = load_preferences(args.pref)
     except _UnreadableInput:
         raise
     except ValidationError as exc:
-        emit({"valid": False, "reason": str(exc)}, args)
-        return EXIT_VIOLATION
-    emit({"valid": True, "n": pref.n, "no_tie": pref.no_tie}, args)
-    return EXIT_OK
+        return {"valid": False, "reason": str(exc)}, False
+    return {"valid": True, "n": pref.n, "no_tie": pref.no_tie}, True
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[dict, bool]:
     pref = load_preferences(args.pref)
     mapping = load_mapping(args.psi)
-    nash = solve_maximin(apply_mapping(pref, mapping))
-    emit(nash.to_dict(), args)
-    return EXIT_OK
+    return solve_maximin(apply_mapping(pref, mapping)).to_dict(), True
 
 
-def _cmd_decompose(args) -> int:
-    pref = load_preferences(args.pref)
-    decomposition = smith_decomposition(pref)
-    emit(decomposition.to_dict(), args)
-    return EXIT_OK
+def _cmd_decompose(args) -> tuple[dict, bool]:
+    return smith_decomposition(load_preferences(args.pref)).to_dict(), True
 
 
-def _cmd_check_psi(args) -> int:
-    mapping = load_mapping(args.psi)
-    report = check_conditions(mapping)
-    emit(report.to_dict(), args)
-    all_ok = report.condorcet_ok and report.mixed_ok and report.smith_ok
-    return EXIT_OK if all_ok else EXIT_VIOLATION
+def _cmd_check_psi(args) -> tuple[dict, bool]:
+    report = check_conditions(load_mapping(args.psi))
+    return report.to_dict(), report.condorcet_ok and report.mixed_ok and report.smith_ok
 
 
-def _cmd_verdict(args) -> int:
+def _cmd_verdict(args) -> tuple[dict, bool]:
     pref = load_preferences(args.pref)
     mapping = load_mapping(args.psi)
     nash = solve_maximin(apply_mapping(pref, mapping))
     verdict = consistency_verdict(pref, nash)
-    emit(verdict.to_dict(), args)
-    bad = verdict.condorcet_consistent is False or not verdict.smith_consistent
-    return EXIT_VIOLATION if bad else EXIT_OK
+    return verdict.to_dict(), verdict.condorcet_consistent is not False and verdict.smith_consistent
 
 
 def _load_rewards(arg: str) -> BTLModel:
@@ -206,20 +184,16 @@ def _load_rewards(arg: str) -> BTLModel:
     return make_btl(rewards)
 
 
-def _cmd_btl(args) -> int:
+def _cmd_btl(args) -> tuple[dict, bool]:
     model = _load_rewards(args.rewards)
-    pref = btl_preferences(model)
-    policy = pm_policy(model)
-    emit({"preferences": pref.to_dict(), "pm_policy": policy.to_dict()}, args)
-    return EXIT_OK
+    return {"preferences": btl_preferences(model).to_dict(), "pm_policy": pm_policy(model).to_dict()}, True
 
 
-def _cmd_kkt(args) -> int:
+def _cmd_kkt(args) -> tuple[dict, bool]:
     payoff = load_payoff(args.payoff)
     target = load_policy(args.target)
     certificate = kkt_verify(payoff, target)
-    emit(certificate.to_dict(), args)
-    return EXIT_OK if certificate.feasible else EXIT_VIOLATION
+    return certificate.to_dict(), certificate.feasible
 
 
 def _ratio_spec_from_args(args, target_n: int) -> RatioPayoffSpec:
@@ -233,15 +207,13 @@ def _ratio_spec_from_args(args, target_n: int) -> RatioPayoffSpec:
     return degenerate_family(n, **{k: v for k, v in given.items() if v is not None})
 
 
-def _cmd_pm_probe(args) -> int:
+def _cmd_pm_probe(args) -> tuple[dict, bool]:
     target = load_policy(args.target)
     spec = _ratio_spec_from_args(args, target.n)
-    probe = pm_gap(spec, target)
-    emit(probe.to_dict(), args)
-    return EXIT_OK
+    return pm_gap(spec, target).to_dict(), True
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, bool]:
     if args.what == "random":
         cfg = GeneratorConfig(
             n=args.n,
@@ -255,11 +227,10 @@ def _cmd_gen(args) -> int:
         pref = table_preferences("table2", args.t)
     else:
         pref = table_preferences(args.what, args.t1, args.t2)
-    emit(pref.to_dict(), args)
-    return EXIT_OK
+    return pref.to_dict(), True
 
 
-def _cmd_monte_carlo(args) -> int:
+def _cmd_monte_carlo(args) -> tuple[dict, bool]:
     mapping = load_mapping(args.psi)
     summary = monte_carlo(
         mapping,
@@ -269,8 +240,7 @@ def _cmd_monte_carlo(args) -> int:
         force_no_winner=args.force_no_winner,
         witness_dir=args.witness_dir,
     )
-    emit(summary.to_dict(include_timing=not args.no_timing), args)
-    return EXIT_VIOLATION if summary.total_violations > 0 else EXIT_OK
+    return summary.to_dict(include_timing=not args.no_timing), summary.total_violations == 0
 
 
 @functools.cache
@@ -362,16 +332,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Execute one CLI invocation and return its exit code."""
+    """Execute one CLI invocation: print its report and return its exit code."""
     level = os.environ.get("PREFGAME_LOG")
     if level:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING), stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        report, passed = args.handler(args)
+        if args.format == "json":
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "\n".join(_render_table(report)) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (PrefGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def main() -> None:

@@ -130,18 +130,18 @@ class Policy(Record):
         return Policy(n=n, w=_as_readonly(np.full(n, 1.0 / n)))
 
 
-def _holds_bool(raw) -> bool:
-    """Whether ``raw`` is or nests a boolean, which numpy would read as 1 or 0."""
+def _holds_bool_or_str(raw) -> bool:
+    """Whether ``raw`` is or nests a boolean or a string, either of which numpy would read as a number."""
     if isinstance(raw, np.ndarray):
-        return raw.dtype == bool
+        return raw.dtype.kind in "bUS"
     if isinstance(raw, (list, tuple)):
-        return any(_holds_bool(v) for v in raw)
-    return isinstance(raw, (bool, np.bool_))
+        return any(_holds_bool_or_str(v) for v in raw)
+    return isinstance(raw, (bool, np.bool_, str, bytes))
 
 
 def _float_array(raw, what: str) -> np.ndarray:
-    if _holds_bool(raw):
-        raise ValidationError(f"{what} must be an array of numbers, not booleans")
+    if _holds_bool_or_str(raw):
+        raise ValidationError(f"{what} must be an array of numbers, not booleans or strings")
     try:
         return np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -107,8 +107,8 @@ def power(k: float, clamp_epsilon: float = 0.0) -> MappingSpec:
 
 
 def _real(value) -> float:
-    """``float(value)``, except that a boolean, which ``float`` reads as 1 or 0, is a ``TypeError``."""
-    if isinstance(value, (bool, np.bool_)):
+    """``float(value)``, except that a boolean or a string is a ``TypeError``: ``float`` would read it as a number."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

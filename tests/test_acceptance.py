@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 import prefgame as pg
+from smith_oracle import brute_minimal_dominant_set
 from support_enumeration import enumerate_equilibria
 
 # Fixed bumpy half-table used as a symmetric extension base throughout.
@@ -213,19 +214,6 @@ def test_criterion_7_solver_cross_validation():
         f"200 random games, n in [2,6]: max value deviation {worst_value_dev:.3e}, "
         f"max cross gap {worst_gap:.3e}, {empty} enumeration misses",
     )
-
-
-def brute_minimal_dominant_set(p: np.ndarray) -> tuple[int, ...]:
-    from itertools import combinations
-
-    n = p.shape[0]
-    beats = p > 0.5
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            outside = [j for j in range(n) if j not in subset]
-            if all(beats[i, j] for i in subset for j in outside):
-                return subset
-    raise AssertionError("tournament without a dominant set")
 
 
 def test_criterion_8_decomposition_matches_brute_force():

@@ -53,6 +53,14 @@ def test_validate_invalid_matrix_exits_one(files, capsys):
     assert out_json(capsys)["valid"] is False
 
 
+def test_validate_string_entries_are_an_invalid_matrix(files, capsys):
+    _, write = files
+    path = write("strings.json", {"p": [["0.5", "0.9"], ["0.1", "0.5"]]})
+    assert run(["validate", "--pref", path, "--format", "json"]) == 1
+    report = out_json(capsys)
+    assert report == {"valid": False, "reason": "preference matrix must be an array of numbers, not booleans or strings"}
+
+
 def test_validate_missing_file_exits_two(capsys):
     assert run(["validate", "--pref", "/nonexistent/x.json"]) == 2
     assert capsys.readouterr().err
@@ -461,11 +469,23 @@ SOLVE_PREF = ["solve", "--pref", "{bad}", "--psi", "identity"]
         ("target.json", json.dumps({"w": [True]}), ["kkt", "--payoff", "{payoff}", "--target", "{bad}"]),
         ("rewards.json", json.dumps({"rewards": [True, 2]}), ["btl", "--rewards", "{bad}"]),
         ("rewards.json", json.dumps({"n": 5, "rewards": [1, 2]}), ["btl", "--rewards", "{bad}"]),
+        # Deeper than the JSON parser recurses; json.dumps could not write them either.
+        ("deep.json", '{"p": ' + "[" * 5000 + "]" * 5000 + "}", ["validate", "--pref", "{bad}"]),
+        (
+            "deep-psi.json",
+            '{"kind": "symmetric_extension", "base": ' * 990 + '{"kind": "identity"}' + "}" * 990,
+            ["check-psi", "--psi", "{bad}"],
+        ),
+        # numpy and float read "0.9" as 0.9; a JSON string is not a number.
+        ("string.json", json.dumps({"p": [["0.5", "0.9"], ["0.1", "0.5"]]}), SOLVE_PREF),
+        ("rewards.json", json.dumps({"rewards": ["1", "2"]}), ["btl", "--rewards", "{bad}"]),
+        ("power.json", json.dumps({"kind": "power", "k": "2"}), ["check-psi", "--psi", "{bad}"]),
     ],
     ids=[
         "csv-cell", "ragged-matrix", "mapping-field", "declared-n", "declared-n-fraction", "declared-n-boolean",
         "declared-n-infinite", "preference-boolean", "kkt-target-boolean", "btl-rewards-boolean",
-        "btl-rewards-declared-n",
+        "btl-rewards-declared-n", "deep-preferences", "deep-mapping", "preference-string", "btl-rewards-string",
+        "mapping-field-string",
     ],
 )
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, name, content, argv):

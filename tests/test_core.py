@@ -157,6 +157,13 @@ def test_boolean_array_is_not_a_payoff():
         pg.make_payoff(np.eye(2, dtype=bool))
 
 
+@pytest.mark.parametrize("dtype", ["U", "S"])
+def test_string_array_is_not_a_payoff(dtype):
+    # numpy would parse each string as the number it spells.
+    with pytest.raises(pg.ValidationError, match="not booleans or strings"):
+        pg.make_payoff(np.array([["0", "1"], ["-1", "0"]], dtype=dtype))
+
+
 def test_apply_mapping_entrywise():
     pref = pg.validate_preferences(RPS)
     pay = pg.apply_mapping(pref, pg.identity())

@@ -1,9 +1,12 @@
-"""The README's Python examples run as written and say what they print."""
+"""The README's Python examples run as written and say what they print; its flag list is whole."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+from prefgame import cli
+from test_cli import _flags, _leaf_parsers
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +23,16 @@ def test_python_blocks_run_in_order():
     # certified 0.4 mismatch.
     assert namespace["cert"].feasible and namespace["cert"].t == pytest.approx(0.38)
     assert namespace["probe"].gap == pytest.approx(0.4) and not namespace["probe"].kkt.feasible
+
+
+def test_command_line_section_names_every_flag():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    missing = [
+        f"{name} {flag}"
+        for name, sub in _leaf_parsers(cli.build_parser())
+        for flag in sorted(_flags(sub) - {"-h", "--help"})
+        if flag not in named
+    ]
+    assert not missing

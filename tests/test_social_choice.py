@@ -1,11 +1,10 @@
 """Winner detection, ordered dominance decomposition, consistency verdicts."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 
 import prefgame as pg
+from smith_oracle import brute_minimal_dominant_set
 
 RPS = [[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]
 
@@ -27,18 +26,6 @@ LAYERED = [
 
 # Response i beats i + 1 and i + 2 (mod 5): one top group of all five.
 CYCLE5 = [[0.5 if i == j else 0.8 if (j - i) % 5 in (1, 2) else 0.2 for j in range(5)] for i in range(5)]
-
-
-def brute_minimal_dominant_set(p: np.ndarray) -> tuple[int, ...]:
-    """Smallest set whose members all beat every outsider, by subset scan."""
-    n = p.shape[0]
-    beats = p > 0.5
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            outside = [j for j in range(n) if j not in subset]
-            if all(beats[i, j] for i in subset for j in outside):
-                return subset
-    raise AssertionError("tournament without a dominant set")
 
 
 def reference_decomposition(p: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
