@@ -11,12 +11,13 @@ read-only, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 DEFAULT_VALIDATION_TOL = 1e-9
-DEFAULT_TIE_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-7
 
 
@@ -131,21 +132,43 @@ class Policy(Record):
 
 
 def _holds_bool_or_str(raw) -> bool:
-    """Whether ``raw`` is or nests a boolean or a string, either of which numpy would read as a number."""
+    """Whether ``raw`` is or nests a boolean or a string, either of which numpy
+    would read as a number.  An object array is judged by its entries, any
+    other array by its dtype: only integers and floats are real numbers."""
     if isinstance(raw, np.ndarray):
-        return raw.dtype.kind in "bUS"
+        if raw.dtype.kind == "O":
+            return _holds_bool_or_str(raw.tolist())
+        return raw.dtype.kind not in "fiu"
     if isinstance(raw, (list, tuple)):
         return any(_holds_bool_or_str(v) for v in raw)
     return isinstance(raw, (bool, np.bool_, str, bytes))
 
 
-def _float_array(raw, what: str) -> np.ndarray:
+def _float_array(raw, what: str, error: type[PrefGameError] = ValidationError) -> np.ndarray:
+    """``raw`` as a float array of finite entries, else ``error`` naming ``what``."""
     if _holds_bool_or_str(raw):
-        raise ValidationError(f"{what} must be an array of numbers, not booleans or strings")
+        raise error(f"{what} must be an array of numbers, not booleans or strings")
     try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be an array of numbers: {exc}") from None
+        out = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be an array of numbers: {exc}") from None
+    if not np.all(np.isfinite(out)):
+        raise error(f"{what} must be finite, got {out[~np.isfinite(out)][0]}")
+    return out
+
+
+def _real(value, what: str, error: type[PrefGameError] = ValidationError) -> float:
+    """``value`` as a finite float, else ``error`` naming ``what``; a boolean
+    or a string is not a number, although ``float`` would read it as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise error(f"{what} must be finite, got {out}")
+    return out
 
 
 def _require_square(raw: np.ndarray, what: str) -> int:
@@ -161,11 +184,11 @@ def validate_preferences(raw) -> PreferenceMatrix:
 
     The complement identity ``p[i, j] + p[j, i] = 1`` and the diagonal value
     1/2 may miss by ``DEFAULT_VALIDATION_TOL``.  Off-diagonal entries within
-    ``DEFAULT_TIE_TOL`` of 1/2 count as ties; they do not abort validation
-    but clear the ``no_tie`` flag.  With both tolerances at 1e-9 a pair
-    whose entries lie on the same side of 1/2, each at least 1e-9 from it,
-    misses the complement identity by at least 2e-9 and is rejected, so
-    ``no_tie`` holds exactly when the majority relation is a tournament.
+    the same tolerance of 1/2 count as ties; they do not abort validation
+    but clear the ``no_tie`` flag.  A pair whose entries lie on the same
+    side of 1/2, each at least the tolerance from it, misses the complement
+    identity by at least twice the tolerance and is rejected, so ``no_tie``
+    holds exactly when the majority relation is a tournament.
 
     Entries within tolerance are accepted as-is, never re-normalized, so
     the stored matrix is exactly the caller's data.
@@ -173,14 +196,12 @@ def validate_preferences(raw) -> PreferenceMatrix:
     Raises
     ------
     ValidationError
-        If the matrix is not a square array of numbers, has entries outside
+        If the matrix is not a square array of finite numbers, has entries outside
         [0, 1], violates the complement identity, or has a diagonal entry
         away from 1/2.
     """
     p = _float_array(raw, "preference matrix")
     n = _require_square(p, "preference matrix")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("preference entries must be finite")
     if np.any(p < 0.0) or np.any(p > 1.0):
         bad = np.argwhere((p < 0.0) | (p > 1.0))[0]
         raise ValidationError(
@@ -199,7 +220,7 @@ def validate_preferences(raw) -> PreferenceMatrix:
         i = int(np.argmax(diag))
         raise ValidationError(f"diagonal entry p[{i}][{i}] = {p[i, i]} must be 1/2")
     off = ~np.eye(n, dtype=bool)
-    no_tie = bool(np.all(np.abs(p[off] - 0.5) >= DEFAULT_TIE_TOL))
+    no_tie = bool(np.all(np.abs(p[off] - 0.5) >= DEFAULT_VALIDATION_TOL))
     return PreferenceMatrix(n=n, p=_as_readonly(p), no_tie=no_tie)
 
 
@@ -207,8 +228,6 @@ def make_payoff(raw) -> PayoffMatrix:
     """Wrap a square array of finite reals as a payoff matrix."""
     a = _float_array(raw, "payoff matrix")
     n = _require_square(a, "payoff matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("payoff entries must be finite")
     return PayoffMatrix(n=n, a=_as_readonly(a))
 
 
@@ -221,12 +240,12 @@ def make_policy(raw) -> Policy:
     w = _float_array(raw, "policy")
     if w.ndim != 1 or w.size < 1:
         raise ValidationError(f"policy must be a nonempty vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("policy entries must be finite")
     if np.any(w < -DEFAULT_VALIDATION_TOL):
         i = int(np.argmin(w))
         raise ValidationError(f"policy entry w[{i}] = {w[i]} is negative")
-    total = float(w.sum())
+    # Finite entries can still overflow the sum; the mass is then inf, not 1.
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
     if abs(total - 1.0) > DEFAULT_VALIDATION_TOL:
         raise ValidationError(f"policy mass {total} is not 1")
     w = np.clip(w, 0.0, None)

@@ -22,6 +22,7 @@ from .core import (
     Policy,
     PreferenceMatrix,
     ValidationError,
+    _real,
     make_policy,
     validate_preferences,
 )
@@ -50,7 +51,8 @@ class GeneratorConfig:
             raise ValidationError(f"n must be positive, got {self.n}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if not 0.5 < self.strength_low <= self.strength_high < 1.0:
+        low, high = _real(self.strength_low, "strength_low"), _real(self.strength_high, "strength_high")
+        if not 0.5 < low <= high < 1.0:
             raise ValidationError(
                 f"need 1/2 < strength_low <= strength_high < 1, got "
                 f"[{self.strength_low}, {self.strength_high}]"
@@ -99,9 +101,11 @@ def random_tournament(cfg: GeneratorConfig) -> PreferenceMatrix:
     )
 
 
-def _check_open_half(name: str, t: float | None) -> None:
-    if t is None or not 0.5 < t <= 1.0:
+def _open_half(name: str, t: float | None) -> float:
+    """``t`` read by ``core._real``; it must lie in (1/2, 1]."""
+    if t is None or not 0.5 < _real(t, name) <= 1.0:
         raise ValidationError(f"{name} must lie in (1/2, 1], got {t}")
+    return float(t)
 
 
 def table_preferences(kind: str, t1: float, t2: float | None = None) -> PreferenceMatrix:
@@ -116,12 +120,11 @@ def table_preferences(kind: str, t1: float, t2: float | None = None) -> Preferen
     if kind == "table2":
         if t2 is not None:
             raise ValidationError("table2 takes one strength")
-        _check_open_half("t", t1)
+        t1 = _open_half("t", t1)
         return validate_preferences([[0.5, t1], [1.0 - t1, 0.5]])
     if kind not in ("table4", "table6"):
         raise ValidationError(f"unknown table {kind!r}; known tables: table2, table4, table6")
-    _check_open_half("t1", t1)
-    _check_open_half("t2", t2)
+    t1, t2 = _open_half("t1", t1), _open_half("t2", t2)
     cycle = np.array([[0.5, t1, 1.0 - t1], [1.0 - t1, 0.5, t1], [t1, 1.0 - t1, 0.5]])
     if kind == "table4":
         p = np.block([[cycle, np.full((3, 1), t2)], [np.full((1, 3), 1.0 - t2), 0.5]])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MappingError, PayoffMatrix, PreferenceMatrix, Record, _as_readonly
+from .core import MappingError, PayoffMatrix, PreferenceMatrix, Record, _as_readonly, _float_array, _real
 
 LOG_ODDS_CLAMP = 1e-9
 # Allowance for the equality and non-strict tests, relative to the largest
@@ -74,24 +74,28 @@ class ConditionReport(Record):
     jump_above: float
 
 
+def _spec(kind: str, points: tuple = (), **values) -> MappingSpec:
+    """A spec of ``kind`` with its number fields read by ``core._real``; a clamp must lie in [0, 1/2)."""
+    read = {key: _real(value, f"mapping field {key!r}", MappingError) for key, value in values.items()}
+    clamp = read.get("clamp_epsilon", 0.0)
+    if not 0.0 <= clamp < 0.5:
+        raise MappingError(f"clamp_epsilon must be in [0, 0.5), got {clamp}")
+    return MappingSpec(kind=kind, points=points, **read)
+
+
 def identity(clamp_epsilon: float = 0.0) -> MappingSpec:
     """The mapping f(t) = t."""
-    _check_clamp(clamp_epsilon)
-    return MappingSpec(kind="identity", clamp_epsilon=clamp_epsilon)
+    return _spec("identity", clamp_epsilon=clamp_epsilon)
 
 
 def log_odds(clamp_epsilon: float = LOG_ODDS_CLAMP) -> MappingSpec:
     """The mapping f(t) = log(t / (1 - t)), clamped away from 0 and 1."""
-    _check_clamp(clamp_epsilon)
-    return MappingSpec(kind="log_odds", clamp_epsilon=clamp_epsilon)
+    return _spec("log_odds", clamp_epsilon=clamp_epsilon)
 
 
 def affine(a: float, b: float, clamp_epsilon: float = 0.0) -> MappingSpec:
     """The mapping f(t) = a*t + b."""
-    _check_clamp(clamp_epsilon)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise MappingError("affine coefficients must be finite")
-    return MappingSpec(kind="affine", a=float(a), b=float(b), clamp_epsilon=clamp_epsilon)
+    return _spec("affine", a=a, b=b, clamp_epsilon=clamp_epsilon)
 
 
 def power(k: float, clamp_epsilon: float = 0.0) -> MappingSpec:
@@ -100,17 +104,7 @@ def power(k: float, clamp_epsilon: float = 0.0) -> MappingSpec:
     Negative exponents blow up at t = 0; set a positive ``clamp_epsilon``
     when the input may touch the boundary.
     """
-    _check_clamp(clamp_epsilon)
-    if not np.isfinite(k):
-        raise MappingError("power exponent must be finite")
-    return MappingSpec(kind="power", k=float(k), clamp_epsilon=clamp_epsilon)
-
-
-def _real(value) -> float:
-    """``float(value)``, except that a boolean or a string is a ``TypeError``: ``float`` would read it as a number."""
-    if isinstance(value, (bool, np.bool_, str, bytes)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    return _spec("power", k=k, clamp_epsilon=clamp_epsilon)
 
 
 def piecewise_linear(points, clamp_epsilon: float = 0.0) -> MappingSpec:
@@ -122,38 +116,23 @@ def piecewise_linear(points, clamp_epsilon: float = 0.0) -> MappingSpec:
     ``symmetric_extension``, and evaluation past the last breakpoint holds
     the final value.
     """
-    _check_clamp(clamp_epsilon)
-    try:
-        pts = tuple((_real(t), _real(v)) for t, v in points)
-    except (TypeError, ValueError):
-        raise MappingError(f"piecewise_linear points must be (t, value) pairs of numbers, got {points!r}") from None
-    if len(pts) < 2:
-        raise MappingError("piecewise_linear needs at least two points")
-    ts = np.array([t for t, _ in pts])
-    vs = np.array([v for _, v in pts])
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
-        raise MappingError("piecewise_linear points must be finite")
-    if np.any(np.diff(ts) <= 0):
+    pts = _float_array(points, "mapping field 'points'", MappingError)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+        raise MappingError(f"piecewise_linear needs at least two (t, value) pairs, got shape {pts.shape}")
+    ts = pts[:, 0]
+    if np.any(ts[1:] <= ts[:-1]):
         raise MappingError("piecewise_linear breakpoints must be strictly ascending")
     if ts[0] != 0.0:
         raise MappingError("piecewise_linear must start at t=0")
     if ts[-1] < 0.5:
         raise MappingError("piecewise_linear must cover t=1/2")
-    return MappingSpec(kind="piecewise_linear", points=pts, clamp_epsilon=clamp_epsilon)
+    return _spec("piecewise_linear", tuple(map(tuple, pts.tolist())), clamp_epsilon=clamp_epsilon)
 
 
 def piecewise_constant(m_minus: float, mid: float, m_plus: float) -> MappingSpec:
     """Three-level step mapping: ``m_minus`` below 1/2, ``mid`` at exactly 1/2,
     ``m_plus`` above."""
-    vals = (m_minus, mid, m_plus)
-    if not all(np.isfinite(v) for v in vals):
-        raise MappingError("piecewise_constant levels must be finite")
-    return MappingSpec(
-        kind="piecewise_constant",
-        m_minus=float(m_minus),
-        mid=float(mid),
-        m_plus=float(m_plus),
-    )
+    return _spec("piecewise_constant", m_minus=m_minus, mid=mid, m_plus=m_plus)
 
 
 def symmetric_extension(base: MappingSpec) -> MappingSpec:
@@ -180,16 +159,13 @@ def symmetric_extension(base: MappingSpec) -> MappingSpec:
     return MappingSpec(kind="symmetric_extension", base=base)
 
 
-def _check_clamp(clamp_epsilon: float) -> None:
-    if not (0.0 <= clamp_epsilon < 0.5):
-        raise MappingError(f"clamp_epsilon must be in [0, 0.5), got {clamp_epsilon}")
-
-
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def eval_mapping_array(spec: MappingSpec, t) -> np.ndarray:
     """Evaluate ``spec`` elementwise on an array of probabilities.
 
     Inputs are clamped into ``[clamp_epsilon, 1 - clamp_epsilon]`` first.
-    Non-finite outputs are returned as-is; callers that require finiteness
+    Non-finite outputs, a pole or an overflow among them, are returned
+    as-is and without a numpy warning; callers that require finiteness
     check the result (scalar evaluation raises instead).
     """
     raw = np.asarray(t, dtype=float)
@@ -204,8 +180,7 @@ def eval_mapping_array(spec: MappingSpec, t) -> np.ndarray:
         eps = spec.clamp_epsilon
         num = np.maximum(ts, eps)
         den = np.maximum(1.0 - ts, eps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(num) - np.log(den)
+        return np.log(num) - np.log(den)
     if spec.clamp_epsilon > 0.0:
         ts = np.clip(ts, spec.clamp_epsilon, 1.0 - spec.clamp_epsilon)
     if kind == "identity":
@@ -213,8 +188,7 @@ def eval_mapping_array(spec: MappingSpec, t) -> np.ndarray:
     if kind == "affine":
         return spec.a * ts + spec.b
     if kind == "power":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.power(ts, spec.k)
+        return np.power(ts, spec.k)
     if kind == "piecewise_linear":
         xs = np.array([p[0] for p in spec.points])
         vs = np.array([p[1] for p in spec.points])
@@ -234,7 +208,7 @@ def eval_mapping_array(spec: MappingSpec, t) -> np.ndarray:
 
 def eval_mapping(spec: MappingSpec, t: float) -> float:
     """Evaluate ``spec`` at a single probability; raises on non-finite output."""
-    out = float(eval_mapping_array(spec, np.asarray(t, dtype=float)))
+    out = float(eval_mapping_array(spec, _real(t, "mapping argument", MappingError)))
     if not np.isfinite(out):
         raise MappingError(f"mapping {spec.kind} is not finite at t={t}")
     return out
@@ -376,15 +350,8 @@ def mapping_to_dict(spec: MappingSpec) -> dict:
     return out
 
 
-def _number(data: dict, key: str) -> float:
-    try:
-        return _real(data[key])
-    except (TypeError, ValueError):
-        raise MappingError(f"mapping field {key!r} must be a number, got {data[key]!r}") from None
-
-
 def mapping_from_dict(data: dict) -> MappingSpec:
-    """Parse the documented JSON shape; the kind's factory validates the values.
+    """Parse the documented JSON shape; the kind's factory reads and checks the values.
 
     ``clamp_epsilon`` is optional and defaults to the factory's value.  A
     kind without a clamp accepts only ``"clamp_epsilon": 0``; any other
@@ -401,7 +368,7 @@ def mapping_from_dict(data: dict) -> MappingSpec:
             continue
         if key != "clamp_epsilon":
             raise MappingError(f"mapping kind {kind!r} has no field {key!r}")
-        clamp = _number(data, key)
+        clamp = _real(data[key], f"mapping field {key!r}", MappingError)
         if clamp != 0.0:
             raise MappingError(f"mapping kind {kind!r} has no clamp, got clamp_epsilon={clamp}")
     args = {}
@@ -409,10 +376,6 @@ def mapping_from_dict(data: dict) -> MappingSpec:
         if key not in data:
             if key != "clamp_epsilon":
                 raise MappingError(f"mapping JSON for kind {kind!r} is missing field {key!r}")
-        elif key == "base":
-            args[key] = mapping_from_dict(data[key])
-        elif key == "points":
-            args[key] = data[key]
         else:
-            args[key] = _number(data, key)
+            args[key] = mapping_from_dict(data[key]) if key == "base" else data[key]
     return factory(**args)

@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
     _as_readonly,
     _float_array,
+    _real,
     _require_same_n,
     make_payoff,
     make_policy,
@@ -106,8 +107,6 @@ def make_btl(rewards) -> BTLModel:
     r = _float_array(rewards, "rewards")
     if r.ndim != 1 or r.size < 1:
         raise ValidationError(f"rewards must be a nonempty vector, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValidationError("rewards must be finite")
     return BTLModel(rewards=_as_readonly(r))
 
 
@@ -115,18 +114,25 @@ def btl_preferences(model: BTLModel) -> PreferenceMatrix:
     """Pairwise win probabilities: the logistic function of reward gaps.
 
     Computed from exp(-|gap|) so large rewards neither overflow nor lose
-    the complement identity.
+    the complement identity.  A gap beyond the float range is ±inf, whose
+    logistic is exactly 1 or 0.
     """
     r = model.rewards
-    diff = r[:, None] - r[None, :]
+    with np.errstate(over="ignore"):
+        diff = r[:, None] - r[None, :]
     damp = np.exp(-np.abs(diff))
     p = np.where(diff >= 0.0, 1.0 / (1.0 + damp), damp / (1.0 + damp))
     return validate_preferences(p)
 
 
 def pm_policy(model: BTLModel) -> Policy:
-    """The softmax of the rewards: the policy proportional to exp(reward)."""
-    z = model.rewards - np.max(model.rewards)
+    """The softmax of the rewards: the policy proportional to exp(reward).
+
+    A reward more than the float range below the largest is -inf here and
+    gets mass exactly 0.
+    """
+    with np.errstate(over="ignore"):
+        z = model.rewards - np.max(model.rewards)
     e = np.exp(z)
     return make_policy(e / e.sum())
 
@@ -155,11 +161,13 @@ def construction_two(target: Policy) -> PayoffMatrix:
 def ratio_payoff(spec: RatioPayoffSpec, target: Policy) -> PayoffMatrix:
     """Evaluate a ratio family at a target policy's mass ratios."""
     w = _require_full_support(target, "ratio_payoff")
-    ratios = w[:, None] / w[None, :]
-    try:
-        a = np.asarray(spec.f(ratios), dtype=float)
-    except Exception as exc:
-        raise MappingError(f"ratio function failed on the target's ratios: {exc}") from exc
+    # A ratio or payoff beyond the float range is refused as non-finite below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratios = w[:, None] / w[None, :]
+        try:
+            a = np.asarray(spec.f(ratios), dtype=float)
+        except Exception as exc:
+            raise MappingError(f"ratio function failed on the target's ratios: {exc}") from exc
     if a.shape != ratios.shape:
         raise MappingError(
             f"ratio function must map arrays elementwise; got shape {a.shape} "
@@ -182,7 +190,7 @@ def btl_family(c: float = 0.5) -> RatioPayoffSpec:
     def f(x: np.ndarray) -> np.ndarray:
         return x / (1.0 + x)
 
-    return RatioPayoffSpec(f=f, diagonal_c=c)
+    return RatioPayoffSpec(f=f, diagonal_c=_real(c, "c"))
 
 
 def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpec:
@@ -195,6 +203,7 @@ def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpe
     """
     if n < 2:
         raise ValidationError(f"degenerate family needs n >= 2, got {n}")
+    c, c2 = _real(c, "c"), _real(c2, "c2")
     shift = c2 * (n - 1) + c
 
     def f(x: np.ndarray) -> np.ndarray:

@@ -319,6 +319,22 @@ def test_pm_probe(files, capsys):
     assert report["kkt_feasible"] is False
 
 
+def test_pm_probe_target_mass_beyond_the_float_range_exits_two(files, capsys):
+    _, write = files
+    target = write("target.json", {"w": [1e308, 0.1, 1e308, 2]})
+    assert run(["pm-probe", "--target", target]) == 2
+    assert capsys.readouterr().err == "error: policy mass inf is not 1\n"
+
+
+def test_btl_rewards_beyond_the_float_range(capsys):
+    assert run(["btl", "--rewards", "0.1,-1e308,1.0,1e308", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["pm_policy"]["w"] == [0.0, 0.0, 0.0, 1.0]
+    assert report["preferences"]["p"][3] == [1.0, 1.0, 1.0, 0.5]
+
+
 def test_pm_probe_degenerate_family(files, capsys):
     _, write = files
     target = write("target.json", {"w": [0.2, 0.3, 0.5]})

@@ -152,7 +152,7 @@ def test_make_payoff_rejects_nonfinite():
 
 
 def test_boolean_array_is_not_a_payoff():
-    # An array is judged by its dtype alone; nested lists are checked in the CLI tests.
+    # A boolean array is refused by its dtype; nested lists are checked in the CLI tests.
     with pytest.raises(pg.ValidationError, match="not booleans"):
         pg.make_payoff(np.eye(2, dtype=bool))
 
@@ -162,6 +162,49 @@ def test_string_array_is_not_a_payoff(dtype):
     # numpy would parse each string as the number it spells.
     with pytest.raises(pg.ValidationError, match="not booleans or strings"):
         pg.make_payoff(np.array([["0", "1"], ["-1", "0"]], dtype=dtype))
+
+
+# numpy reads every one of these as numbers: an object array by its entries,
+# which it passes to float, so "1" is 1.0 and True is 1.0.
+NOT_NUMBERS = [
+    np.array([["0", "1"], ["1", "0"]], dtype=object),
+    np.array([[b"0", 1.0], [0.0, 0.5]], dtype=object),
+    np.array([[True, 1.0], [0.0, False]], dtype=object),
+    np.array([[np.bool_(True), 1.0], [0.0, 0.5]], dtype=object),
+    [np.array([0.5, "1"], dtype=object), [0.0, 0.5]],
+    np.array([["0", "1"], ["1", "0"]], dtype="U"),
+    np.array([["0", "1"], ["1", "0"]], dtype="S"),
+    np.eye(2, dtype=bool),
+]
+NOT_NUMBER_IDS = ["O-str", "O-bytes", "O-bool", "O-numpy-bool", "nested-O-str", "U", "S", "b"]
+
+
+@pytest.mark.parametrize("raw", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize(
+    "reader, what, vector",
+    [
+        (pg.validate_preferences, "preference matrix", False),
+        (pg.make_payoff, "payoff matrix", False),
+        (pg.make_policy, "policy", True),
+        (pg.make_btl, "rewards", True),
+    ],
+)
+def test_booleans_and_strings_at_any_depth_are_not_numbers(reader, what, vector, raw):
+    with pytest.raises(pg.ValidationError) as info:
+        reader(raw[0] if vector else raw)
+    assert str(info.value) == f"{what} must be an array of numbers, not booleans or strings"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entry_is_named(bad):
+    with pytest.raises(pg.ValidationError, match=f"^policy must be finite, got {bad}$"):
+        pg.make_policy([0.5, bad])
+
+
+def test_policy_mass_beyond_the_float_range_is_not_one():
+    # Each entry is finite; their sum is not, and must not warn on the way.
+    with pytest.raises(pg.ValidationError, match="^policy mass inf is not 1$"):
+        pg.make_policy([1e308, 0.1, 1e308, 2.0])
 
 
 def test_apply_mapping_entrywise():

@@ -22,6 +22,11 @@ class TestConfig:
         with pytest.raises(pg.ValidationError):
             pg.GeneratorConfig(n=3, seed=1, strength_low=low, strength_high=high)
 
+    @pytest.mark.parametrize("field", ["strength_low", "strength_high"])
+    def test_strengths_must_be_numbers(self, field):
+        with pytest.raises(pg.ValidationError, match=f"^{field} must be a number, got '0.7'$"):
+            pg.GeneratorConfig(n=3, seed=1, **{field: "0.7"})
+
 
 def loop_tournament(cfg):
     """The pair-by-pair draw loop that ``random_tournament`` vectorizes."""
@@ -242,6 +247,9 @@ class TestTablePreferences:
             (("table4", 0.7), "t2 must lie in (1/2, 1], got None"),
             (("table6", 1.2, 0.6), "t1 must lie in (1/2, 1], got 1.2"),
             (("table5", 0.7, 0.6), "unknown table 'table5'"),
+            (("table2", "0.7"), "t must be a number, got '0.7'"),
+            (("table4", 0.7, True), "t2 must be a number, got True"),
+            (("table6", float("nan"), 0.6), "t1 must be finite, got nan"),
         ],
     )
     def test_bad_arguments_are_validation_errors(self, args, message):

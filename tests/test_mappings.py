@@ -407,6 +407,49 @@ def test_boolean_is_not_a_number(data, field):
     assert "must be" in str(info.value)
 
 
+# Good values for each factory's number fields.
+NUMBER_FIELDS = {
+    "identity": {"clamp_epsilon": 0.0},
+    "log_odds": {"clamp_epsilon": 1e-9},
+    "affine": {"a": 1.0, "b": 0.0, "clamp_epsilon": 0.0},
+    "power": {"k": 2.0, "clamp_epsilon": 0.0},
+    "piecewise_constant": {"m_minus": -1.0, "mid": 0.0, "m_plus": 1.0},
+}
+
+
+@pytest.mark.parametrize("bad", ["2", None, True, np.inf], ids=["string", "none", "boolean", "inf"])
+@pytest.mark.parametrize("kind, field", [(kind, key) for kind, good in NUMBER_FIELDS.items() for key in good])
+def test_factory_field_must_be_a_finite_number(kind, field, bad):
+    # float("2") is 2.0 and float(True) is 1.0; a factory reads neither as a number.
+    if bad is np.inf:
+        message = f"mapping field '{field}' must be finite, got inf"
+    else:
+        message = f"mapping field '{field}' must be a number, got {bad!r}"
+    fields = {**NUMBER_FIELDS[kind], field: bad}
+    for build in (lambda: getattr(pg, kind)(**fields), lambda: mapping_from_dict({"kind": kind, **fields})):
+        with pytest.raises(pg.MappingError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", ["2", None, True, np.inf], ids=["string", "none", "boolean", "inf"])
+def test_piecewise_linear_points_must_be_finite_numbers(bad):
+    with pytest.raises(pg.MappingError, match="^mapping field 'points' must be "):
+        pg.piecewise_linear([(0.0, 0.0), (0.5, bad), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("t", ["0.5", True, None, np.nan])
+def test_mapping_argument_must_be_a_finite_number(t):
+    with pytest.raises(pg.MappingError, match="^mapping argument must be "):
+        eval_mapping(pg.identity(), t)
+
+
+def test_overflowing_base_is_not_finite_without_a_warning():
+    # t**-1e308 overflows on (0, 1/2]; the base is refused, not warned about.
+    with pytest.raises(pg.MappingError, match="base mapping is not finite"):
+        mapping_from_dict({"kind": "symmetric_extension", "base": {"kind": "power", "k": -1e308, "clamp_epsilon": 0.1}})
+
+
 def test_log_odds_parse_fills_default_clamp():
     parsed = mapping_from_dict({"kind": "log_odds"})
     assert parsed.clamp_epsilon == 1e-9

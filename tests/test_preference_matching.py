@@ -44,6 +44,32 @@ def test_btl_extreme_gap_stays_in_range():
     assert 0.0 <= pref.p[1, 0] <= pref.p[0, 1] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: pg.btl_family("0.5"), "c must be a number, got '0.5'"),
+        (lambda: pg.btl_family(True), "c must be a number, got True"),
+        (lambda: pg.degenerate_family(3, c=float("nan")), "c must be finite, got nan"),
+        (lambda: pg.degenerate_family(3, c2="1"), "c2 must be a number, got '1'"),
+    ],
+    ids=["btl-string", "btl-boolean", "degenerate-nan", "degenerate-string"],
+)
+def test_ratio_family_constants_must_be_finite_numbers(build, message):
+    with pytest.raises(pg.ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_rewards_beyond_the_float_range_give_exact_limits():
+    # Gaps of ±2e308 overflow to ±inf, whose logistic is exactly 1 or 0; the
+    # softmax puts all its mass on the one largest reward.
+    model = pg.make_btl([0.1, -1e308, 1.0, 1e308])
+    pref = pg.btl_preferences(model)
+    assert pref.p[3, 1] == 1.0 and pref.p[1, 3] == 0.0
+    np.testing.assert_array_equal(pref.p[3], [1.0, 1.0, 1.0, 0.5])
+    np.testing.assert_array_equal(pg.pm_policy(model).w, [0.0, 0.0, 0.0, 1.0])
+
+
 @settings(deadline=None)
 @given(r=arrays(np.float64, (3,), elements=st.floats(-5.0, 5.0)))
 def test_btl_matches_sigmoid(r):
