@@ -171,6 +171,17 @@ def _real(value, what: str, error: type[PrefGameError] = ValidationError) -> flo
     return out
 
 
+def _integer(value, what: str, low: int) -> int:
+    """``value`` as an int at or above ``low``, else a ``ValidationError``
+    naming ``what``; a boolean is not an integer, although ``int`` would read it as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        floor = {0: "non-negative", 1: "positive"}.get(low, f">= {low}")
+        raise ValidationError(f"{what} must be {floor}, got {value}")
+    return int(value)
+
+
 def _require_square(raw: np.ndarray, what: str) -> int:
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {raw.shape}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Record, SolverError, ValidationError
+from .core import Record, SolverError, ValidationError, _integer
 from .generators import GeneratorConfig, random_tournament
 from .mappings import MappingSpec, apply_mapping, mapping_to_dict
 from .social_choice import consistency_verdict
@@ -75,12 +75,13 @@ def monte_carlo(
     ``SolverError`` in any trial aborts the run and names the trial, its n
     and its generator seed.
     """
-    n_min, n_max = n_range
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    if not 2 <= n_min <= n_max <= 10:
+    trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
+    try:
+        n_min, n_max = n_range
+    except (TypeError, ValueError):
+        raise ValidationError(f"n_range must be a pair (n_min, n_max), got {n_range!r}") from None
+    n_min, n_max = _integer(n_min, "n_min", 2), _integer(n_max, "n_max", 2)
+    if not n_min <= n_max <= 10:
         raise ValidationError(f"need 2 <= n_min <= n_max <= 10, got [{n_min}, {n_max}]")
     if force_no_winner and n_min < 3:
         raise ValidationError("force_no_winner requires n_min >= 3; two responses always have a winner")

@@ -22,6 +22,7 @@ from .core import (
     Policy,
     PreferenceMatrix,
     ValidationError,
+    _integer,
     _real,
     make_policy,
     validate_preferences,
@@ -47,10 +48,8 @@ class GeneratorConfig:
     force_no_winner: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be positive, got {self.n}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        _integer(self.n, "n", 1)
+        _integer(self.seed, "seed", 0)
         low, high = _real(self.strength_low, "strength_low"), _real(self.strength_high, "strength_high")
         if not 0.5 < low <= high < 1.0:
             raise ValidationError(

@@ -143,6 +143,8 @@ def symmetric_extension(base: MappingSpec) -> MappingSpec:
     must sit strictly below its midpoint value on [0, 1/2); this is decided
     on the base's critical points up to 1/2, and a violation is rejected.
     """
+    if not isinstance(base, MappingSpec):
+        raise MappingError(f"base mapping must be a MappingSpec, got {base!r}")
     ts = _critical_points(base)
     ts = ts[ts <= 0.5]
     vals = eval_mapping_array(base, ts)
@@ -267,16 +269,21 @@ def check_conditions(spec: MappingSpec) -> ConditionReport:
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(mirrored))):
         raise MappingError(f"mapping {spec.kind} is not finite on [0, 1]")
     mid = eval_mapping(spec, 0.5)
-    allowance = ROUND_OFF * float(np.abs(vals).max())
+    largest = float(np.abs(vals).max())
+    # Near the float range a gap or ``sym`` would overflow, so there they and
+    # the allowance are taken on quarter values, which cannot; the strict
+    # test compares the values themselves, and the witnesses scale back.
+    scale = 0.25 if max(largest, float(np.abs(mirrored).max())) > np.finfo(float).max / 4 else 1.0
+    q_vals, q_mid, allowance = scale * vals, scale * mid, scale * ROUND_OFF * largest
 
     below = ts < 0.5
     at_or_above = ~below
     witnesses: list[tuple[float, str]] = []
 
-    upper_gap = vals[at_or_above] - mid
+    upper_gap = q_vals[at_or_above] - q_mid
     upper_ok = bool(np.all(upper_gap >= -allowance))
-    lower_gap = mid - vals[below]
-    lower_ok = bool(np.all(lower_gap > 0.0))
+    lower_gap = q_mid - q_vals[below]
+    lower_ok = bool(np.all(vals[below] < mid))
     condorcet_ok = upper_ok and lower_ok
     if not upper_ok:
         i = int(np.argmin(upper_gap))
@@ -291,21 +298,23 @@ def check_conditions(spec: MappingSpec) -> ConditionReport:
             (t_bad, f"value {vals[below][i]:.6g} is not strictly below the midpoint value {mid:.6g}")
         )
 
-    sym = vals + mirrored - 2.0 * mid
+    sym = q_vals + scale * mirrored - 2.0 * q_mid
     sym_floor_ok = bool(np.all(sym >= -allowance))
     mixed_ok = condorcet_ok and sym_floor_ok
     if condorcet_ok and not sym_floor_ok:
         i = int(np.argmin(sym))
+        short = -float(sym[i]) / scale
         witnesses.append(
-            (float(ts[i]), f"value plus mirrored value falls {-float(sym[i]):.6g} short of twice the midpoint value")
+            (float(ts[i]), f"value plus mirrored value falls {short:.6g} short of twice the midpoint value")
         )
 
     sym_exact_ok = bool(np.all(np.abs(sym) <= allowance))
     smith_ok = sym_exact_ok and lower_ok
     if not sym_exact_ok:
         i = int(np.argmax(np.abs(sym)))
+        miss = abs(float(sym[i])) / scale
         witnesses.append(
-            (float(ts[i]), f"value plus mirrored value misses twice the midpoint value by {float(abs(sym[i])):.6g}")
+            (float(ts[i]), f"value plus mirrored value misses twice the midpoint value by {miss:.6g}")
         )
 
     jump_below = abs(eval_mapping(spec, np.nextafter(0.5, 0.0)) - mid)

@@ -25,21 +25,14 @@ from .core import (
     ValidationError,
     _as_readonly,
     _float_array,
+    _integer,
     _real,
     _require_same_n,
     make_payoff,
     make_policy,
     validate_preferences,
 )
-from .solver import (
-    DEFAULT_VERIFY_TOL,
-    NashReport,
-    _certified_report,
-    _clean_policy,
-    _dantzig_lp,
-    _pair_payoffs,
-    _span,
-)
+from .solver import DEFAULT_VERIFY_TOL, NashReport, _pair_payoffs, _solve_dantzig, _span
 
 logger = logging.getLogger(__name__)
 
@@ -57,13 +50,16 @@ class KKTCertificate(Record):
 
     ``t`` is the target's guarantee: every column payoff is at least
     ``t``, and ``column_slacks`` (column payoff minus ``t``) are >= 0.
-    ``u`` is an optimal column strategy of the payoff.  By weak duality
-    no row strategy guarantees more than max(A u), so ``feasible`` is
-    the bound max(A u) - t <= ``DEFAULT_VERIFY_TOL`` times the payoff
-    span: the target attains the value up to that tolerance.  When the
-    bound fails, ``u`` and ``complementarity_residual`` are None;
-    infeasibility is a result, not an error.  The residual
-    max_j u_j * slack_j is reported only.
+    ``u`` is the column strategy of a certified solve, so max(A u) is
+    within ``DEFAULT_SOLVER_TOL`` times the payoff span of the value.  By
+    weak duality no row strategy guarantees more than max(A u), so
+    ``feasible`` is the bound max(A u) - t <= ``DEFAULT_VERIFY_TOL`` times
+    the span: the target attains the value up to that tolerance.  When the
+    bound fails, the value exceeds t by more than the difference of the
+    two tolerances times the span, so the target is proved not maximin;
+    ``u`` and ``complementarity_residual`` are then None, as infeasibility
+    is a result, not an error.  The residual max_j u_j * slack_j is
+    reported only.
     """
 
     u: Policy | None
@@ -201,10 +197,9 @@ def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpe
     the family at a different response count breaks that collapse, which is
     the point of the mismatch probe.
     """
-    if n < 2:
-        raise ValidationError(f"degenerate family needs n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     c, c2 = _real(c, "c"), _real(c2, "c2")
-    shift = c2 * (n - 1) + c
+    shift = c2 * _real(n - 1, "n") + c
 
     def f(x: np.ndarray) -> np.ndarray:
         return c2 / x + shift
@@ -212,13 +207,16 @@ def degenerate_family(n: int, c: float = 0.0, c2: float = 1.0) -> RatioPayoffSpe
     return RatioPayoffSpec(f=f, diagonal_c=c)
 
 
-def _certificate(payoff: PayoffMatrix, span: float, target: Policy, u: Policy, pivots: int) -> KKTCertificate:
-    """The weak-duality verdict on ``target`` from column strategy ``u``, which ``pivots`` pivots gave."""
+def _certificate(payoff: PayoffMatrix, target: Policy, nash: NashReport) -> KKTCertificate:
+    """The weak-duality verdict on ``target`` from the solve's column strategy, logged with the solve's pivots."""
+    u, span = nash.col_strategy, _span(payoff.a)
     column_payoffs, t, gap = _pair_payoffs(payoff, target, u)
     column_slacks = _as_readonly(column_payoffs - t)
     feasible = gap <= DEFAULT_VERIFY_TOL * span
     verdict = "feasible" if feasible else "infeasible"
-    logger.debug("kkt %s: n=%d t=%.12g gap=%.3g span=%.3g pivots=%d", verdict, payoff.n, t, gap, span, pivots)
+    logger.debug(
+        "kkt %s: n=%d t=%.12g gap=%.3g span=%.3g pivots=%d", verdict, payoff.n, t, gap, span, nash.solver_iterations
+    )
     return KKTCertificate(
         u=u if feasible else None,
         t=t,
@@ -232,41 +230,33 @@ def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     """Check whether ``target`` is a maximin solution of ``payoff``.
 
     A full-support target is maximin iff its guarantee t = min_j (wᵀA)_j
-    is the game's value.  ``u`` is the optimal column strategy z / Σz of
-    Dantzig's LP max 1ᵀz subject to C z <= 1, z >= 0, on C = 1 + Â with
-    Â the payoff mapped onto [0, 1]; its slack basis is feasible, so no
-    phase 1 runs.  The target certifies when max(A u) - t, which bounds
-    value - t from above, is at most ``DEFAULT_VERIFY_TOL`` times the
-    span, so the verdict does not change under a positive affine map of
-    the payoff.
+    is the game's value.  ``u`` is the column strategy of
+    ``solver._solve_dantzig``, one phase-1-free LP whose pair is certified
+    as in ``solve_maximin``.  The target certifies when max(A u) - t,
+    which bounds value - t from above, is at most ``DEFAULT_VERIFY_TOL``
+    times the span, so the verdict does not change under a positive affine
+    map of the payoff.  Raises ``SolverError`` when the solve lost
+    accuracy, so an infeasible verdict is proved, never a round-off miss.
     """
     _require_same_n("payoff", payoff.n, "target", target.n)
     _require_full_support(target, "kkt_verify")
-    col_w, _, pivots = _dantzig_lp(payoff.a)
-    return _certificate(payoff, _span(payoff.a), target, _clean_policy(col_w), pivots)
+    return _certificate(payoff, target, _solve_dantzig(payoff))
 
 
 def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     """Solve the ratio family's game and measure the miss against the target.
 
-    The game is solved by one LP (``lps=1`` in its debug line) with no
-    phase 1: Dantzig's LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0,
-    which ``kkt_verify`` solves.  z / Σz is the column strategy, the slack
-    columns' final reduced costs give the row strategy, whose guarantee
-    is the value, and the pair is certified by its exploitability as in
-    ``solve_maximin``.  The gap is the total-variation distance between
-    that row strategy and the target.  The attached certificate matters
-    when the gap is positive: the target could still be an optimal
-    strategy the solve simply did not return.  It is ``kkt_verify``'s
-    verdict with the solve's own column strategy as ``u``, so no second
-    LP runs, and its debug line counts the solve's pivots.  A feasible
-    certificate proves the target optimal, and an infeasible one rules
-    that out.
+    The game is solved as ``kkt_verify`` solves it, by
+    ``solver._solve_dantzig``: one LP (``lps=1`` in its debug line) with
+    no phase 1, certified by its exploitability.  The gap is the
+    total-variation distance between the solve's row strategy and the
+    target.  The attached certificate matters when the gap is positive:
+    the target could still be an optimal strategy the solve simply did
+    not return.  It is ``kkt_verify``'s verdict on the same solve, so no
+    second LP runs.  A feasible certificate proves the target optimal, and
+    an infeasible one rules that out.
     """
     payoff = ratio_payoff(spec, target)
-    span = _span(payoff.a)
-    col_w, row_w, pivots = _dantzig_lp(payoff.a)
-    nash = _certified_report(payoff, span, row_w, col_w, 1, pivots)
+    nash = _solve_dantzig(payoff)
     gap = 0.5 * float(np.abs(nash.row_strategy.w - target.w).sum())
-    certificate = _certificate(payoff, span, target, nash.col_strategy, nash.solver_iterations)
-    return ProbeReport(gap=gap, kkt=certificate, nash=nash)
+    return ProbeReport(gap=gap, kkt=_certificate(payoff, target, nash), nash=nash)

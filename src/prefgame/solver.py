@@ -5,8 +5,8 @@ by introducing the guaranteed value as an epigraph variable; the column
 player's problem is the same program on the negated transpose.  When the
 game is skew-symmetric (A = -A^T, as under any symmetric mapping) that
 program is the row player's own, so it is solved once; otherwise both are
-solved.  ``_dantzig_lp`` gets both strategies from one phase-1-free LP
-instead (Dantzig 1951), which ``kkt_verify`` and ``pm_gap`` solve.  Every
+solved.  ``_solve_dantzig`` gets both strategies from one phase-1-free LP
+instead (Dantzig 1951); ``kkt_verify`` and ``pm_gap`` call it.  Every
 reported pair is certified by its exploitability, the distance from
 mutual best response, relative to the payoff span.
 """
@@ -135,21 +135,6 @@ def _maximin_lp(a: np.ndarray) -> tuple[np.ndarray, int]:
     return result.x[: a.shape[0]], result.iterations
 
 
-def _dantzig_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both players' strategies of payoff array ``a`` from one LP.
-
-    Dantzig's (1951) LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0, on the
-    payoff Â = (a - min) / span mapped onto [0, 1], starts from its
-    feasible slack basis, so no phase 1 runs.  Returns ``(column weights
-    z, row weights, pivots)``, where z / Σz is an optimal column strategy
-    and the row weights are the slack columns' final reduced costs, the
-    LP's dual, which are proportional to an optimal row strategy.
-    """
-    result, work, _ = slack_basis_lp(1.0 + _unit_span(a)[0])
-    n = a.shape[1]
-    return result.x[:n], work[-1, n : 2 * n], result.iterations
-
-
 def _pair_payoffs(payoff: PayoffMatrix, x: Policy, y: Policy) -> tuple[np.ndarray, float, float]:
     """What the pair (x, y) is worth: xᵀA, x's guarantee min(xᵀA) and the gap max(A y) - min(xᵀA).
 
@@ -195,6 +180,21 @@ def _certified_report(
         exploitability=exploitability,
         solver_iterations=iterations,
     )
+
+
+def _solve_dantzig(payoff: PayoffMatrix) -> NashReport:
+    """Solve the game with one LP and certify the pair as ``solve_maximin`` does.
+
+    Dantzig's (1951) LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0, on the
+    payoff Â = (a - min) / span mapped onto [0, 1], starts from its
+    feasible slack basis, so no phase 1 runs.  z / Σz is an optimal column
+    strategy, and the slack columns' final reduced costs, the LP's dual,
+    are proportional to an optimal row strategy.
+    """
+    unit, _, span = _unit_span(payoff.a)
+    result, work, _ = slack_basis_lp(1.0 + unit)
+    n = payoff.n
+    return _certified_report(payoff, span, work[-1, n : 2 * n], result.x[:n], 1, result.iterations)
 
 
 def solve_maximin(payoff: PayoffMatrix) -> NashReport:

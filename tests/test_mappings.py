@@ -326,6 +326,22 @@ class TestConditions:
         assert grid_verdicts(pg.piecewise_linear(SPIKE))[0]
         assert grid_verdicts(pg.piecewise_linear(DIP)) == (True, True, True)
 
+    def test_values_near_the_float_range_do_not_overflow(self):
+        # vals + mirrored - 2 * mid overflowed here, with numpy warnings, and
+        # inf - inf = nan made the symmetry verdicts compare nan.
+        flipped = pg.check_conditions(
+            mapping_from_dict({"kind": "piecewise_constant", "m_minus": 0, "mid": -1e308, "m_plus": 0.500000000001})
+        )
+        assert (flipped.condorcet_ok, flipped.mixed_ok, flipped.smith_ok) == (False, False, False)
+        assert flipped.witnesses == (
+            (0.0, "value 0 is not strictly below the midpoint value -1e+308"),
+            (0.0, "value plus mirrored value misses twice the midpoint value by inf"),
+        )
+        # f(0) + f(1) = 2 f(1/2) exactly, although neither side fits a float.
+        symmetric = pg.check_conditions(pg.piecewise_constant(-1.7e308, -1e308, -0.3e308))
+        assert symmetric.condorcet_ok and symmetric.mixed_ok and symmetric.smith_ok
+        assert symmetric.witnesses == ()
+
     def test_clamped_log_odds_passes_all(self):
         # The clamp end is not a critical point: with it, rounding in
         # 1 - (1 - eps) would push the symmetry error past the allowance.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prefgame as pg
-from prefgame import _simplex
+from prefgame import _simplex, solver
 from support_enumeration import game_value
 
 
@@ -268,23 +268,30 @@ class TestKKT:
             "degenerate_n+1": pg.degenerate_family(n + 1),
         }[family]
         pay = pg.ratio_payoff(spec, target)
-        feasible = pg.kkt_verify(pay, target).feasible
+        cert = pg.kkt_verify(pay, target)
         a = 10.0**scale
-        assert pg.kkt_verify(pg.make_payoff(a * pay.a + a * shift), target).feasible == feasible
-        assert pg.pm_gap(spec, target).kkt.feasible == feasible
+        assert pg.kkt_verify(pg.make_payoff(a * pay.a + a * shift), target).feasible == cert.feasible
+        # Both solve the game with solver._solve_dantzig, so they agree field for field.
+        assert pg.pm_gap(spec, target).kkt.to_dict() == cert.to_dict()
 
     @pytest.mark.parametrize("feasible", [True, False])
     def test_debug_line_reports_every_verdict(self, caplog, feasible):
         target = pg.make_policy([0.2, 0.3, 0.5])
         pay = pg.construction_one(target) if feasible else pg.ratio_payoff(pg.btl_family(), target)
-        with caplog.at_level(logging.DEBUG, logger="prefgame.preference_matching"):
+        with caplog.at_level(logging.DEBUG, logger="prefgame"):
             cert = pg.kkt_verify(pay, target)
         assert cert.feasible is feasible
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("kkt ")]
+        messages = [r.getMessage() for r in caplog.records]
+        lines = [m for m in messages if m.startswith("kkt ")]
         assert len(lines) == 1
         verdict = "feasible" if feasible else "infeasible"
         assert lines[0].startswith(f"kkt {verdict}: n=3 t={cert.t:.12g} gap=")
-        assert " span=" in lines[0] and " pivots=" in lines[0]
+        assert " span=" in lines[0]
+        # The certificate's one certified solve logs its own line with the same pivots.
+        solves = [m for m in messages if m.startswith("maximin solved:")]
+        assert len(solves) == 1 and solves[0].startswith("maximin solved: n=3 lps=1 ")
+        pivots = int(solves[0].rsplit(" iterations=", 1)[1])
+        assert lines[0].endswith(f" pivots={pivots}")
 
     def test_probe_logs_one_solve_and_one_verdict(self, caplog):
         target = pg.make_policy([0.2, 0.3, 0.5])
@@ -298,6 +305,25 @@ class TestKKT:
         pivots = probe.nash.solver_iterations
         assert solves[0].endswith(f" iterations={pivots}")
         assert verdicts[0].endswith(f" pivots={pivots}")
+
+    def test_inaccurate_solve_is_an_error_not_an_infeasible_verdict(self, monkeypatch):
+        # Weak duality proves a target not maximin only from an optimal u.
+        # A solve whose column weights are off must raise, not report the
+        # certified construction_one target as unmatchable.
+        exact = solver.slack_basis_lp
+
+        def inaccurate(a):
+            result, work, basis = exact(a)
+            n = a.shape[1]
+            result.x = np.r_[np.eye(n)[0], result.x[n:]]
+            return result, work, basis
+
+        monkeypatch.setattr(solver, "slack_basis_lp", inaccurate)
+        target = pg.make_policy([0.2, 0.3, 0.5])
+        with pytest.raises(pg.SolverError, match=r"^exploitability \S+ exceeds 1e-09 x payoff span"):
+            pg.kkt_verify(pg.construction_one(target), target)
+        with pytest.raises(pg.SolverError, match=r"^exploitability \S+ exceeds 1e-09 x payoff span"):
+            pg.pm_gap(pg.degenerate_family(3), target)
 
     def test_dict_shape(self):
         pay = pg.make_payoff([[0.0, 1.0], [1.0, 0.0]])

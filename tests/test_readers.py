@@ -2,7 +2,9 @@
 
 Matrices, policies, rewards, mapping fields, mapping JSON, table and
 generator strengths and ratio-family constants all go through
-``core._float_array`` or ``core._real``.
+``core._float_array`` or ``core._real``; generator sizes and seeds, the
+degenerate family's n and Monte Carlo's trials, seed and sizes through
+``core._integer``.
 Fed strings, bytes, booleans, None, nan, ±inf, 1e308, integers beyond the
 float range, object arrays and ragged lists, none of them may end in another
 exception or let a numpy ``RuntimeWarning`` out.
@@ -113,3 +115,32 @@ def test_scalar_readers(t, t1, t2, low, high):
     _returns_or_refuses(lambda: pg.GeneratorConfig(n=3, seed=0, strength_low=low, strength_high=high))
     _returns_or_refuses(lambda: pg.btl_family(t1))
     _returns_or_refuses(lambda: pg.degenerate_family(3, c=t1, c2=t2))
+    _returns_or_refuses(lambda: pg.GeneratorConfig(n=t1, seed=t2))
+    _returns_or_refuses(lambda: pg.degenerate_family(t1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: pg.GeneratorConfig(n="3", seed=0), pg.ValidationError, "n must be an integer, got '3'"),
+        (lambda: pg.GeneratorConfig(n=3.5, seed=0), pg.ValidationError, "n must be an integer, got 3.5"),
+        (lambda: pg.GeneratorConfig(n=3, seed=True), pg.ValidationError, "seed must be an integer, got True"),
+        (lambda: pg.degenerate_family("3"), pg.ValidationError, "n must be an integer, got '3'"),
+        (lambda: pg.degenerate_family(1), pg.ValidationError, "n must be >= 2, got 1"),
+        (lambda: pg.monte_carlo(pg.identity(), trials="5"), pg.ValidationError, "trials must be an integer, got '5'"),
+        (lambda: pg.monte_carlo(pg.identity(), trials=0), pg.ValidationError, "trials must be positive, got 0"),
+        (lambda: pg.monte_carlo(pg.identity(), 2, seed=1.0), pg.ValidationError, "seed must be an integer, got 1.0"),
+        (lambda: pg.monte_carlo(pg.identity(), 2, n_range=5), pg.ValidationError, "n_range must be a pair"),
+        (lambda: pg.monte_carlo(pg.identity(), 2, n_range=(3, "8")), pg.ValidationError, "n_max must be an integer"),
+        (lambda: pg.monte_carlo(pg.identity(), 2, n_range=(1, 8)), pg.ValidationError, "n_min must be >= 2, got 1"),
+        (lambda: pg.symmetric_extension("x"), pg.MappingError, "base mapping must be a MappingSpec, got 'x'"),
+    ],
+    ids=[
+        "config-n-string", "config-n-float", "config-seed-boolean", "degenerate-n-string", "degenerate-n-one",
+        "trials-string", "trials-zero", "seed-float", "n-range-int", "n-max-string", "n-min-one", "extension-base",
+    ],
+)
+def test_integer_and_spec_arguments_are_typed_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
