@@ -25,9 +25,6 @@ from .core import (
 from .experiment import MonteCarloSummary, monte_carlo
 from .generators import (
     GeneratorConfig,
-    game_four,
-    game_six,
-    game_two,
     mixture_weights,
     random_tournament,
     table_preferences,
@@ -115,9 +112,6 @@ __all__ = [
     "construction_two",
     "degenerate_family",
     "eval_mapping",
-    "game_four",
-    "game_six",
-    "game_two",
     "identity",
     "kkt_verify",
     "log_odds",

@@ -96,6 +96,8 @@ def _iterate(
             # Indexing at argmin skips the Python wrapper of ``min``.
             best = ratios[ratios.argmin()]
             ties = rows[ratios <= best + RATIO_TIE_TOL * max(1.0, abs(best))]
+            if ties.size == 0:  # every comparison with a NaN ratio is false
+                raise SolverError("the ratio test found no pivot row: the tableau is not finite")
             row = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         _pivot(work, buf, basis, row, col)
         iterations += 1

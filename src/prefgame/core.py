@@ -105,7 +105,7 @@ class PayoffMatrix(Record):
 
 @dataclass(frozen=True)
 class Policy(Record):
-    """A probability vector over ``n`` responses."""
+    """A probability vector over ``n`` responses; ``make_policy`` builds and checks one."""
 
     n: int
     w: np.ndarray
@@ -113,22 +113,6 @@ class Policy(Record):
     def support(self) -> list[int]:
         """Indices carrying more than ``SUPPORT_THRESHOLD`` mass."""
         return [int(i) for i in np.flatnonzero(self.w > SUPPORT_THRESHOLD)]
-
-    @staticmethod
-    def delta(i: int, n: int) -> "Policy":
-        """The pure policy concentrated on response ``i``."""
-        if not 0 <= i < n:
-            raise ValidationError(f"index {i} out of range for n={n}")
-        w = np.zeros(n)
-        w[i] = 1.0
-        return Policy(n=n, w=_as_readonly(w))
-
-    @staticmethod
-    def uniform(n: int) -> "Policy":
-        """The uniform policy over ``n`` responses."""
-        if n < 1:
-            raise ValidationError("n must be positive")
-        return Policy(n=n, w=_as_readonly(np.full(n, 1.0 / n)))
 
 
 def _holds_bool_or_str(raw) -> bool:

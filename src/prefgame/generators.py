@@ -4,9 +4,9 @@ Random tournaments are reproducible bit-for-bit from their seed: the PCG64
 generator seeded through numpy's SeedSequence is part of the public
 contract, so fixtures stay stable across platforms.  The small proof
 games that separate the mapping conditions are preference tables
-(``table_preferences``); the ``game_*`` builders map them through a payoff
-mapping, and ``mixture_weights`` solves the 2x2 system that makes the
-six-response game's two-cycle blend an exact equalizer.
+(``table_preferences``), which ``apply_mapping`` turns into payoffs, and
+``mixture_weights`` solves the 2x2 system that makes the six-response
+game's two-cycle blend an exact equalizer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     GenerationError,
-    PayoffMatrix,
     Policy,
     PreferenceMatrix,
     ValidationError,
@@ -132,25 +131,8 @@ def table_preferences(kind: str, t1: float, t2: float | None = None) -> Preferen
     return validate_preferences(p)
 
 
-def game_two(mapping: MappingSpec, t: float) -> PayoffMatrix:
-    """``table2`` under ``mapping``."""
-    return apply_mapping(table_preferences("table2", t), mapping)
-
-
-def game_four(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
-    """``table4`` under ``mapping``: rows 0-2 beat each other cyclically and
-    each beats row 3 with probability ``t2``."""
-    return apply_mapping(table_preferences("table4", t1, t2), mapping)
-
-
-def game_six(mapping: MappingSpec, t1: float, t2: float) -> PayoffMatrix:
-    """``table6`` under ``mapping``: two stacked three-cycles, the upper one
-    beating the lower at ``t2``."""
-    return apply_mapping(table_preferences("table6", t1, t2), mapping)
-
-
 def mixture_weights(mapping: MappingSpec, t1: float, t2: float) -> tuple[Policy, Policy]:
-    """Blend weights making both cycles of ``game_six`` exact equalizers.
+    """Blend weights making both cycles of ``table6`` under ``mapping`` exact equalizers.
 
     Solving mu1*(S - 3*f(t2)) = mu2*(S - 3*f(1-t2)) with mu1 + mu2 = 1,
     where S is the cycle sum f(1/2) + f(t1) + f(1-t1), spreads mu1 over the
@@ -160,7 +142,7 @@ def mixture_weights(mapping: MappingSpec, t1: float, t2: float) -> tuple[Policy,
     cross values straddling the midpoint value, but only positivity is
     required.
     """
-    a = game_six(mapping, t1, t2).a
+    a = apply_mapping(table_preferences("table6", t1, t2), mapping).a
     mid, a1, b1, a2, b2 = (float(a[i, j]) for i, j in ((0, 0), (0, 1), (0, 2), (0, 3), (3, 0)))
     cycle_sum = mid + a1 + b1
     d_top = cycle_sum - 3.0 * a2

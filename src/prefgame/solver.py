@@ -152,14 +152,15 @@ def _certified_report(
 
     ``col_w`` may be ``row_w`` itself, and then one policy is both
     strategies; ``_pair_payoffs`` gives the value and exploitability.
-    Raises ``SolverError`` if the exploitability exceeds
+    Raises ``SolverError`` unless the exploitability is at most
     ``DEFAULT_SOLVER_TOL`` times ``span``: the LPs lost accuracy, and the
-    pair is not an equilibrium.
+    pair is not an equilibrium.  A NaN exploitability, from strategies the
+    LPs left non-finite, fails that test too.
     """
     row = _clean_policy(row_w)
     col = row if col_w is row_w else _clean_policy(col_w)
     _, value, exploitability = _pair_payoffs(payoff, row, col)
-    if exploitability > DEFAULT_SOLVER_TOL * span:
+    if not exploitability <= DEFAULT_SOLVER_TOL * span:
         raise SolverError(
             f"exploitability {exploitability} exceeds {DEFAULT_SOLVER_TOL} x payoff span {span}; "
             "the LP solve lost accuracy"
@@ -197,6 +198,7 @@ def _solve_dantzig(payoff: PayoffMatrix) -> NashReport:
     return _certified_report(payoff, span, work[-1, n : 2 * n], result.x[:n], 1, result.iterations)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     """Solve the zero-sum game with payoff matrix ``payoff``.
 
@@ -206,7 +208,10 @@ def solve_maximin(payoff: PayoffMatrix) -> NashReport:
     Raises ``SolverError`` if the reported pair's exploitability exceeds
     ``DEFAULT_SOLVER_TOL`` times the payoff span: the LPs lost accuracy,
     and the pair is not an equilibrium.  The span is taken before any LP
-    runs, so a span that overflows a float is a ``ValidationError``.
+    runs, so a span that overflows a float is a ``ValidationError``.  The
+    LPs run with numpy's floating-point warnings off: a tableau that
+    overflows ends in a ``SolverError``, from the LP status, the ratio test
+    or the certificate, not in a warning.
     """
     a = payoff.a
     span = _span(a)

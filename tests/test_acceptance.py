@@ -104,13 +104,13 @@ def test_criterion_2_no_winner_mixes_inside_top_group():
 
 def test_criterion_3_degenerate_game_has_pure_optimum():
     mapping = pg.piecewise_linear(DEGENERATE_MAP)
-    pay = pg.game_four(mapping, 0.9, 0.55)
+    pay = pg.apply_mapping(pg.table_preferences("table4", 0.9, 0.55), mapping)
     nash = pg.solve_maximin(pay)
     mass = float(nash.row_strategy.w[3])
     equilibria = enumerate_equilibria(pay)
     value_dev = max(abs(v - nash.value) for _, _, v in equilibria)
     mixed_col = next(y for _, y, _ in equilibria if y.support() == [0, 1, 2])
-    gap = pg.best_response_gap(pay, pg.Policy.delta(3, 4), mixed_col)
+    gap = pg.best_response_gap(pay, pg.make_policy(np.eye(4)[3]), mixed_col)
     check(
         "criterion 3",
         mass >= 1.0 - 1e-6 and gap <= 1e-8 and value_dev <= 1e-8,
@@ -122,7 +122,7 @@ def test_criterion_3_degenerate_game_has_pure_optimum():
 
 def test_criterion_4_two_cycle_blend():
     mapping = pg.piecewise_linear(QUAD)
-    pay = pg.game_six(mapping, 0.9, 0.6)
+    pay = pg.apply_mapping(pg.table_preferences("table6", 0.9, 0.6), mapping)
     blend, primed = pg.mixture_weights(mapping, 0.9, 0.6)
     mu1 = 3.0 * float(blend.w[0])
     # Independent oracle: the primed column mixture must equalize rows of

@@ -232,6 +232,47 @@ def test_verdict_violation_exits_one(files, capsys):
     assert report["condorcet_consistent"] is False
 
 
+
+# Games whose LP tableaux overflow: payoffs near -1e308 or 1e308 beside
+# small ones.  Each solve must end in one typed error, with no numpy warning
+# (an error in this suite) and no NaN "equilibrium" on standard output.
+@pytest.mark.parametrize(
+    "pref,psi,message",
+    [
+        (
+            [[0.5, 0.25], [0.75, 0.5]],
+            {"kind": "piecewise_linear", "points": [[0, 0], [0.25, 1], [0.5, 0.5], [0.75, -1e308], [1, -1e308]]},
+            "error: exploitability nan exceeds",
+        ),
+        (
+            [[0.5, 0, 0.25], [1, 0.5, 1], [0.75, 0, 0.5]],
+            {"kind": "piecewise_linear", "points": [[0, 0.5], [0.25, 1e308], [0.5, 0.5], [0.75, -1], [1, 1e308]]},
+            "error: the ratio test found no pivot row",
+        ),
+        (
+            [[0.5, 0.5 + 1e-12, 0], [0.5 - 1e-12, 0.5, 0.9], [1, 0.1, 0.5]],
+            {"kind": "affine", "a": -1e308, "b": -1},
+            "error: maximin LP ended with status unbounded",
+        ),
+        (
+            [[0.5, 0], [1, 0.5]],
+            {"kind": "piecewise_constant", "m_minus": 0.5, "mid": -1e308, "m_plus": 1},
+            "error: maximin LP ended with status infeasible",
+        ),
+    ],
+    ids=["nan-equilibrium", "nan-ratios", "phase-one-overflow", "pivot-overflow"],
+)
+@pytest.mark.parametrize("command", ["solve", "verdict"])
+def test_overflowing_game_is_a_typed_error(files, capsys, command, pref, psi, message):
+    _, write = files
+    argv = [command, "--pref", write("pref.json", {"p": pref}), "--psi", write("psi.json", psi), "--format", "json"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_btl_inline_rewards(capsys):
     assert run(["btl", "--rewards", "1,0", "--format", "json"]) == 0
     report = out_json(capsys)

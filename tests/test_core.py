@@ -112,9 +112,9 @@ def test_exception_hierarchy():
 
 class TestPolicy:
     def test_uniform_and_delta(self):
-        u = pg.Policy.uniform(4)
+        u = pg.make_policy(np.full(4, 0.25))
         np.testing.assert_allclose(u.w, 0.25)
-        d = pg.Policy.delta(2, 4)
+        d = pg.make_policy(np.eye(4)[2])
         np.testing.assert_array_equal(d.w, [0.0, 0.0, 1.0, 0.0])
         assert d.support() == [2]
 
@@ -139,7 +139,7 @@ class TestPolicy:
         assert pg.make_policy([0.5, 0.5 - 2e-7, 2e-7]).support() == [0, 1, 2]
 
     def test_read_only(self):
-        p = pg.Policy.uniform(3)
+        p = pg.make_policy(np.full(3, 1.0 / 3))
         with pytest.raises(ValueError):
             p.w[0] = 0.9
 
@@ -249,7 +249,7 @@ def test_total_payoff_known_value():
     ],
 )
 def test_dimension_mismatch_messages(name, message):
-    three, two = pg.Policy.uniform(3), pg.Policy.uniform(2)
+    three, two = pg.make_policy(np.full(3, 1.0 / 3)), pg.make_policy(np.full(2, 0.5))
     args = {
         "total_payoff": (three, two),
         "best_response_gap": (three, two),

@@ -163,16 +163,16 @@ class TestRandomTournament:
 
 class TestTableGames:
     def test_two_player(self):
-        pay = pg.game_two(pg.identity(), 0.7)
+        pay = pg.apply_mapping(pg.table_preferences("table2", 0.7), pg.identity())
         np.testing.assert_allclose(pay.a, [[0.5, 0.7], [0.3, 0.5]], atol=1e-12)
 
     def test_two_player_solution(self):
-        nash = pg.solve_maximin(pg.game_two(pg.identity(), 0.7))
+        nash = pg.solve_maximin(pg.apply_mapping(pg.table_preferences("table2", 0.7), pg.identity()))
         np.testing.assert_allclose(nash.row_strategy.w, [1.0, 0.0], atol=1e-9)
         assert nash.value == pytest.approx(0.5, abs=1e-9)
 
     def test_four_player_layout(self):
-        pay = pg.game_four(pg.identity(), 0.8, 0.7)
+        pay = pg.apply_mapping(pg.table_preferences("table4", 0.8, 0.7), pg.identity())
         expected = [
             [0.5, 0.8, 0.2, 0.7],
             [0.2, 0.5, 0.8, 0.7],
@@ -182,7 +182,7 @@ class TestTableGames:
         np.testing.assert_allclose(pay.a, expected, atol=1e-12)
 
     def test_six_player_layout(self):
-        pay = pg.game_six(pg.identity(), 0.8, 0.7)
+        pay = pg.apply_mapping(pg.table_preferences("table6", 0.8, 0.7), pg.identity())
         cycle = np.array([[0.5, 0.8, 0.2], [0.2, 0.5, 0.8], [0.8, 0.2, 0.5]])
         np.testing.assert_allclose(pay.a[:3, :3], cycle, atol=1e-12)
         np.testing.assert_allclose(pay.a[3:, 3:], cycle, atol=1e-12)
@@ -191,7 +191,7 @@ class TestTableGames:
 
     def test_degenerate_four_player(self):
         mapping = pg.piecewise_linear([(0.0, -4.5), (0.5, 0.5), (1.0, 1.0)])
-        pay = pg.game_four(mapping, 0.9, 0.55)
+        pay = pg.apply_mapping(pg.table_preferences("table4", 0.9, 0.55), mapping)
         expected = [
             [0.5, 0.9, -3.5, 0.55],
             [-3.5, 0.5, 0.9, 0.55],
@@ -228,14 +228,13 @@ def _entrywise(mapping, pref):
 @pytest.mark.parametrize("mapping", PINNED_MAPPINGS, ids=lambda m: m.kind)
 def test_proof_games_are_their_tables_under_the_mapping(mapping):
     for t1 in (0.5 + 1e-9, 0.55, 0.6, 0.7, 0.9, 1.0):
-        games = [
-            (pg.game_two(mapping, t1), pg.table_preferences("table2", t1)),
-            (pg.game_four(mapping, t1, 0.55), pg.table_preferences("table4", t1, 0.55)),
-            (pg.game_six(mapping, t1, 0.8), pg.table_preferences("table6", t1, 0.8)),
+        tables = [
+            pg.table_preferences("table2", t1),
+            pg.table_preferences("table4", t1, 0.55),
+            pg.table_preferences("table6", t1, 0.8),
         ]
-        for game, table in games:
-            assert game.a.tobytes() == pg.apply_mapping(table, mapping).a.tobytes()
-            assert game.a.tobytes() == _entrywise(mapping, table).tobytes()
+        for table in tables:
+            assert pg.apply_mapping(table, mapping).a.tobytes() == _entrywise(mapping, table).tobytes()
 
 
 class TestTablePreferences:
@@ -270,7 +269,7 @@ class TestMixtureWeights:
 
     def test_blend_equalizes_the_game(self):
         blend, primed = pg.mixture_weights(pg.piecewise_linear(QUAD), 0.9, 0.6)
-        pay = pg.game_six(pg.piecewise_linear(QUAD), 0.9, 0.6)
+        pay = pg.apply_mapping(pg.table_preferences("table6", 0.9, 0.6), pg.piecewise_linear(QUAD))
         assert pg.best_response_gap(pay, blend, primed) <= 1e-12
 
     def test_symmetric_case_is_even(self):

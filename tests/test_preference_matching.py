@@ -130,7 +130,7 @@ class TestConstructions:
         assert pg.solve_maximin(pay).value == pytest.approx(0.0, abs=1e-8)
 
     def test_constructions_need_full_support(self):
-        hollow = pg.Policy.delta(0, 3)
+        hollow = pg.make_policy(np.eye(3)[0])
         with pytest.raises(pg.ValidationError):
             pg.construction_one(hollow)
         with pytest.raises(pg.ValidationError):
@@ -151,7 +151,7 @@ class TestKKT:
         # The uniform target guarantees -1/3 against a value of 0.  Pinning t
         # at the largest column payoff, 1, certified it anyway.
         pay = pg.make_payoff([[1.0, 1.0, -1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        cert = pg.kkt_verify(pay, pg.Policy.uniform(3))
+        cert = pg.kkt_verify(pay, pg.make_policy(np.full(3, 1.0 / 3)))
         assert cert.feasible is False
         assert cert.t == -1.0 / 3.0
 
@@ -177,7 +177,7 @@ class TestKKT:
             pg.validate_preferences([[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]),
             pg.identity(),
         )
-        cert = pg.kkt_verify(pay, pg.Policy.uniform(3))
+        cert = pg.kkt_verify(pay, pg.make_policy(np.full(3, 1.0 / 3)))
         assert cert.feasible
         assert cert.t == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(cert.u.w, 1.0 / 3.0, atol=1e-7)
@@ -188,12 +188,12 @@ class TestKKT:
         # onto [0, 1] divides inf by inf.
         pay = pg.PayoffMatrix(n=2, a=np.array([[np.inf, 0.0], [0.0, 0.0]]))
         with pytest.raises(pg.SolverError, match="must be finite"):
-            pg.kkt_verify(pay, pg.Policy.uniform(2))
+            pg.kkt_verify(pay, pg.make_policy(np.full(2, 0.5)))
 
     def test_interior_target_required(self):
         pay = pg.make_payoff(np.zeros((3, 3)))
         with pytest.raises(pg.ValidationError):
-            pg.kkt_verify(pay, pg.Policy.delta(1, 3))
+            pg.kkt_verify(pay, pg.make_policy(np.eye(3)[1]))
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6, 1e9])
     def test_verdict_survives_affine_scaling(self, scale):
@@ -350,7 +350,7 @@ class TestRatioFamilies:
 
     def test_probe_uniform_target_is_certified(self):
         spec = pg.RatioPayoffSpec(f=lambda x: x / (1.0 + x), diagonal_c=0.5)
-        probe = pg.pm_gap(spec, pg.Policy.uniform(3))
+        probe = pg.pm_gap(spec, pg.make_policy(np.full(3, 1.0 / 3)))
         assert probe.kkt.feasible is True
 
     def test_degenerate_family_matched(self):
@@ -411,4 +411,4 @@ class TestRatioFamilies:
     def test_nonfinite_ratio_values_raise(self):
         spec = pg.RatioPayoffSpec(f=lambda x: np.log(x - 10.0), diagonal_c=0.0)
         with np.errstate(invalid="ignore"), pytest.raises(pg.MappingError):
-            pg.ratio_payoff(spec, pg.Policy.uniform(3))
+            pg.ratio_payoff(spec, pg.make_policy(np.full(3, 1.0 / 3)))

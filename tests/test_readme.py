@@ -1,5 +1,7 @@
-"""The README's Python examples run as written and say what they print; its flag list is whole."""
+"""The README's Python examples run as written and say what they print; its
+flag list is whole, and its module table names only what each module has."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -34,5 +36,19 @@ def test_command_line_section_names_every_flag():
         for name, sub in _leaf_parsers(cli.build_parser())
         for flag in sorted(_flags(sub) - {"-h", "--help"})
         if flag not in named
+    ]
+    assert not missing
+
+
+def test_module_table_names_only_what_each_module_has():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## What is inside\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(prefgame\.\w+)` \| (.*) \|$", section, re.MULTILINE)
+    assert rows
+    missing = [
+        f"{module}.{name}"
+        for module, purpose in rows
+        for name in re.findall(r"`([^`]+)`", purpose)
+        if name.isidentifier() and not hasattr(importlib.import_module(module), name)
     ]
     assert not missing

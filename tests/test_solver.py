@@ -201,14 +201,15 @@ class TestValueIsTheGuarantee:
 
 def test_best_response_gap_pinned():
     pay = rps_game()
-    gap = pg.best_response_gap(pay, pg.Policy.delta(0, 3), pg.Policy.uniform(3))
+    uniform = pg.make_policy(np.full(3, 1.0 / 3))
+    gap = pg.best_response_gap(pay, pg.make_policy(np.eye(3)[0]), uniform)
     assert gap == pytest.approx(0.4, abs=1e-12)
-    assert pg.best_response_gap(pay, pg.Policy.uniform(3), pg.Policy.uniform(3)) <= 1e-15
+    assert pg.best_response_gap(pay, uniform, uniform) <= 1e-15
 
 
 def test_best_response_gap_dimension_check():
     with pytest.raises(pg.ValidationError):
-        pg.best_response_gap(rps_game(), pg.Policy.uniform(2), pg.Policy.uniform(3))
+        pg.best_response_gap(rps_game(), pg.make_policy(np.full(2, 0.5)), pg.make_policy(np.full(3, 1.0 / 3)))
 
 
 # Finite entries whose span max - min overflows a float.
@@ -220,7 +221,7 @@ OVERFLOWING_SPAN = [[1e308, -1e308], [0.0, 0.0]]
     [
         lambda pay: pg.solve_maximin(pay),
         lambda pay: pg.uniqueness_report(pay, pg.solve_maximin(pg.make_payoff(np.eye(2)))),
-        lambda pay: pg.kkt_verify(pay, pg.Policy.uniform(2)),
+        lambda pay: pg.kkt_verify(pay, pg.make_policy(np.full(2, 0.5))),
     ],
     ids=["solve_maximin", "uniqueness_report", "kkt_verify"],
 )
@@ -230,6 +231,33 @@ def test_overflowing_span_is_a_validation_error(call):
     with pytest.raises(pg.ValidationError) as info:
         call(pay)
     assert str(info.value) == "payoff span is not finite: max 1e+308 - min -1e+308 = inf"
+
+
+# Entries at the float extremes, mixed with small ones: the tableaux of
+# games built from them overflow.
+EXTREME_ENTRIES = sorted(
+    {sign * size * factor for sign in (1.0, -1.0) for size in (0.0, 0.5, 1.0, 1e-300, 1e300, 5e307, 1e308)
+     for factor in (1.0, 0.999, 0.5)}
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_extreme_payoffs_are_certified_or_a_typed_error(data):
+    # Warnings are errors in this suite, so a numpy warning fails here too.
+    n = data.draw(st.integers(2, 5))
+    a = data.draw(arrays(np.float64, (n, n), elements=st.sampled_from(EXTREME_ENTRIES)))
+    span = float(a.max()) - float(a.min())
+    assume(math.isfinite(span))
+    pay = pg.make_payoff(a)
+    for solve in (pg.solve_maximin, solver._solve_dantzig):
+        try:
+            nash = solve(pay)
+        except pg.PrefGameError:
+            continue
+        assert np.all(np.isfinite(nash.row_strategy.w)) and np.all(np.isfinite(nash.col_strategy.w))
+        assert math.isfinite(nash.value)
+        assert nash.exploitability <= 1e-9 * (span or 1.0)
 
 
 class TestEnumeration:
@@ -253,13 +281,13 @@ class TestEnumeration:
         seen = {(tuple(x.w.round(9)), tuple(y.w.round(9))) for x, y, _ in eqs}
         for i in (0, 1):
             for j in (0, 1):
-                assert (tuple(pg.Policy.delta(i, 2).w), tuple(pg.Policy.delta(j, 2).w)) in seen
+                assert (tuple(np.eye(2)[i]), tuple(np.eye(2)[j])) in seen
 
     def test_unequal_support_sizes_are_found(self):
         # Degenerate game whose row optimum is pure while every optimal
         # column strategy mixes three columns.
         mapping = pg.piecewise_linear([(0.0, -4.5), (0.5, 0.5), (1.0, 1.0)])
-        pay = pg.game_four(mapping, 0.9, 0.55)
+        pay = pg.apply_mapping(pg.table_preferences("table4", 0.9, 0.55), mapping)
         eqs = enumerate_equilibria(pay)
         assert eqs
         assert all(v == pytest.approx(0.0, abs=1e-9) for _, _, v in eqs)
