@@ -9,10 +9,10 @@ feasible, so ``slack_basis_lp`` runs phase 2 alone.  On A = 1 + Â, the
 payoff mapped onto [0, 1], one such LP solves a game: y / sum(y) is the
 column strategy, the slack columns' final reduced costs give the row
 strategy, and 1 / sum(y) - 1 is the value of Â.  ``solver._solve_dantzig``
-runs it for ``kkt_verify`` and ``pm_gap``, and ``optimal_face_ranges``
-takes its optimal face on A = 2 - Âᵀ.  Pivots follow Bland's rule (smallest
-eligible index both entering and leaving), which rules out cycling, so
-the iteration cap is a backstop against bugs rather than a tuning knob.
+runs it, and ``optimal_face_ranges`` reads its optimal face off the final
+tableau.  Pivots follow Bland's rule (smallest eligible index both entering
+and leaving), which rules out cycling, so the iteration cap is a backstop
+against bugs rather than a tuning knob.
 
 Problem sizes here are tiny (tens of variables), so everything is dense.
 Every feasible x has c.x = optimum + sum d_j x_j over the final reduced
@@ -237,32 +237,33 @@ def slack_basis_lp(a: np.ndarray):
     return result, work, basis
 
 
-def optimal_face_ranges(a: np.ndarray, face_tol: float):
-    """Solve ``slack_basis_lp(a)``, then bound each y_i over its optimal face.
+def optimal_face_ranges(work: np.ndarray, basis: np.ndarray, face_tol: float):
+    """Bound each y_i over the optimal face of a solved ``slack_basis_lp``.
 
+    ``work`` and ``basis`` are its final tableau and basis, left unchanged.
     Nonbasic columns with a final reduced cost above ``face_tol`` are fixed
     at zero, and each y_i is minimized and maximized by phase 2 from the
     final basis.  When no nonbasic column is kept, the face is the final
     vertex (the basis matrix is invertible), every range LP would start
     there without a pivot, and the ranges are that vertex itself.  Returns
-    ``(result, ranges, face_columns, range_pivots)`` with
-    ``ranges[i] = [min, max]``.
+    ``(ranges, face_columns, range_pivots)`` with ``ranges[i] = [min, max]``.
     """
-    n = a.shape[1]
-    result, work, basis = slack_basis_lp(a)
+    n = work.shape[1] - 1 - basis.size
     # Basic columns keep a reduced cost of exactly zero, so they are kept.
-    kept = work[-1, : result.x.size] <= face_tol
+    kept = work[-1, :-1] <= face_tol
     face_columns = int(kept.sum())
+    # The final vertex; a range LP overwrites the entries of each kept y_i.
+    ranges = np.zeros((kept.size, 2))
+    ranges[basis] = work[:-1, -1:]
     if face_columns == basis.size:
-        return result, np.column_stack([result.x[:n], result.x[:n]]), face_columns, 0
+        return ranges[:n], face_columns, 0
     face = work[:, np.r_[kept, True]]
     position = np.cumsum(kept) - 1
     unit = np.eye(face_columns)
-    ranges = np.zeros((n, 2))
     range_pivots = 0
     for i in np.flatnonzero(kept[:n]):
         for side, sign in enumerate((1.0, -1.0)):
             bound = _phase_two(sign * unit[position[i]], face.copy(), position[basis], 0)
             range_pivots += bound.iterations
             ranges[i, side] = bound.x[position[i]]
-    return result, ranges, face_columns, range_pivots
+    return ranges[:n], face_columns, range_pivots

@@ -240,7 +240,7 @@ def kkt_verify(payoff: PayoffMatrix, target: Policy) -> KKTCertificate:
     """
     _require_same_n("payoff", payoff.n, "target", target.n)
     _require_full_support(target, "kkt_verify")
-    return _certificate(payoff, target, _solve_dantzig(payoff))
+    return _certificate(payoff, target, _solve_dantzig(payoff)[0])
 
 
 def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
@@ -257,6 +257,6 @@ def pm_gap(spec: RatioPayoffSpec, target: Policy) -> ProbeReport:
     an infeasible one rules that out.
     """
     payoff = ratio_payoff(spec, target)
-    nash = _solve_dantzig(payoff)
+    nash = _solve_dantzig(payoff)[0]
     gap = 0.5 * float(np.abs(nash.row_strategy.w - target.w).sum())
     return ProbeReport(gap=gap, kkt=_certificate(payoff, target, nash), nash=nash)

@@ -6,9 +6,9 @@ player's problem is the same program on the negated transpose.  When the
 game is skew-symmetric (A = -A^T, as under any symmetric mapping) that
 program is the row player's own, so it is solved once; otherwise both are
 solved.  ``_solve_dantzig`` gets both strategies from one phase-1-free LP
-instead (Dantzig 1951); ``kkt_verify`` and ``pm_gap`` call it.  Every
-reported pair is certified by its exploitability, the distance from
-mutual best response, relative to the payoff span.
+instead (Dantzig 1951); ``kkt_verify``, ``pm_gap`` and ``uniqueness_report``
+call it.  Every reported pair is certified by its exploitability, the
+distance from mutual best response, relative to the payoff span.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ class UniquenessReport(Record):
     """Optimal-polytope geometry around a solved game.
 
     ``coordinate_ranges[i]`` is the [min, max] of the i-th strategy weight
-    over all optimal row strategies, read off the optimal face of Dantzig's
-    LP for the row player; ``unique`` means every range has width at most
-    ``DEFAULT_VERIFY_TOL``.  ``column_slacks`` are xᵀA minus its minimum.
-    ``face_vertex`` says the face was the LP's final vertex alone, so the
-    ranges were read off it with no range LP.
+    over all optimal row strategies, read off the optimal face of the
+    certified ``_solve_dantzig`` LP of the column player's game; ``unique``
+    means every range has width at most ``DEFAULT_VERIFY_TOL``.
+    ``column_slacks`` are xᵀA minus its minimum.  ``face_vertex`` says the
+    face was the LP's final vertex alone, read off with no range LP.
     """
 
     unique: bool
@@ -183,19 +183,20 @@ def _certified_report(
     )
 
 
-def _solve_dantzig(payoff: PayoffMatrix) -> NashReport:
+def _solve_dantzig(payoff: PayoffMatrix) -> tuple[NashReport, np.ndarray, np.ndarray]:
     """Solve the game with one LP and certify the pair as ``solve_maximin`` does.
 
     Dantzig's (1951) LP max 1ᵀz subject to (1 + Â) z <= 1, z >= 0, on the
     payoff Â = (a - min) / span mapped onto [0, 1], starts from its
     feasible slack basis, so no phase 1 runs.  z / Σz is an optimal column
     strategy, and the slack columns' final reduced costs, the LP's dual,
-    are proportional to an optimal row strategy.
+    are proportional to an optimal row strategy.  Returns the report with
+    the LP's final tableau and basis.
     """
     unit, _, span = _unit_span(payoff.a)
-    result, work, _ = slack_basis_lp(1.0 + unit)
+    result, work, basis = slack_basis_lp(1.0 + unit)
     n = payoff.n
-    return _certified_report(payoff, span, work[-1, n : 2 * n], result.x[:n], 1, result.iterations)
+    return _certified_report(payoff, span, work[-1, n : 2 * n], result.x[:n], 1, result.iterations), work, basis
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -239,42 +240,40 @@ def best_response_gap(payoff: PayoffMatrix, pi1: Policy, pi2: Policy) -> float:
 def uniqueness_report(payoff: PayoffMatrix, nash: NashReport) -> UniquenessReport:
     """Measure the optimal-strategy polytope around a solved game.
 
-    Each strategy weight is bounded over the optimal face of Dantzig's LP
-    max 1ᵀy subject to (2 - Âᵀ) y <= 1, y >= 0, where Â is the payoff
-    mapped onto [0, 1], with ``DEFAULT_SOLVER_TOL`` as the reduced-cost
-    tolerance, so the ranges do not move under a positive affine map of
-    the payoff.  ``unique`` holds when every coordinate is pinned to width
-    at most ``DEFAULT_VERIFY_TOL``; the dual-support flag records whether
-    every column weight of the opponent's strategy is active, the
-    full-support condition tied to uniqueness.
+    ``_solve_dantzig`` solves the column player's game -Âᵀ, where Â is the
+    payoff mapped onto [0, 1], and its z / Σz ranges over the optimal row
+    strategies.  Each weight is bounded over that certified LP's optimal
+    face with ``DEFAULT_SOLVER_TOL`` as the reduced-cost tolerance, so the
+    ranges do not move under a positive affine map of the payoff.
+    ``unique`` holds when every coordinate is pinned to width at most
+    ``DEFAULT_VERIFY_TOL``; the dual-support flag records whether every
+    column weight of the opponent's strategy is active, the full-support
+    condition tied to uniqueness.
     """
-    a = payoff.a
     n = payoff.n
     _require_same_n("payoff", n, "report", nash.row_strategy.n, nash.col_strategy.n)
-    unit, low, span = _unit_span(a)
+    unit, low, span = _unit_span(payoff.a)
     column_payoffs, guarantee, _ = _pair_payoffs(payoff, nash.row_strategy, nash.col_strategy)
-    column_slacks = column_payoffs - guarantee
-    dual_support_full = bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD))
-    # Dantzig's LP: y / sum(y) ranges over the optimal row strategies, and
-    # sum(y) is 1 / (2 - value) on the whole face.
-    result, ranges, face_columns, range_pivots = optimal_face_ranges(2.0 - unit.T, DEFAULT_SOLVER_TOL)
-    value = 2.0 + 1.0 / result.objective
-    if abs(value - (nash.value - low) / span) > DEFAULT_VERIFY_TOL:
-        raise SolverError(f"the payoff's value {low + value * span} is not the report's {nash.value}")
-    ranges /= -result.objective
+    face, work, basis = _solve_dantzig(PayoffMatrix(n=n, a=-unit.T))
+    # The face solve's guarantee is minus an upper bound on the unit game's value.
+    if abs(face.value + (nash.value - low) / span) > DEFAULT_VERIFY_TOL:
+        raise SolverError(f"the payoff's value {low - face.value * span} is not the report's {nash.value}")
+    ranges, face_columns, range_pivots = optimal_face_ranges(work, basis, DEFAULT_SOLVER_TOL)
+    ranges /= work[:-1, -1][basis < n].sum()  # Σz, the LP's optimum, is the same on the whole face
+    if not np.all(np.abs(ranges - 0.5) <= 0.5 + DEFAULT_VERIFY_TOL):
+        raise SolverError(f"the optimal face lost accuracy: weight ranges span {ranges.min()} to {ranges.max()}")
+    ranges = np.clip(ranges, 0.0, 1.0)
     logger.debug(
         "uniqueness probed: n=%d face_columns=%d pivots=%d range_pivots=%d",
         n,
         face_columns,
-        result.iterations,
+        face.solver_iterations,
         range_pivots,
     )
-    widths = ranges[:, 1] - ranges[:, 0]
-    unique = bool(np.all(widths <= DEFAULT_VERIFY_TOL))
     return UniquenessReport(
-        unique=unique,
-        column_slacks=_as_readonly(column_slacks),
-        dual_support_full=dual_support_full,
+        unique=bool(np.all(ranges[:, 1] - ranges[:, 0] <= DEFAULT_VERIFY_TOL)),
+        column_slacks=_as_readonly(column_payoffs - guarantee),
+        dual_support_full=bool(np.all(nash.col_strategy.w > SUPPORT_THRESHOLD)),
         coordinate_ranges=_as_readonly(ranges),
         face_vertex=face_columns == n,
     )

@@ -101,11 +101,9 @@ def enumerate_equilibria(
     ]
 
 
-def game_value(payoff: PayoffMatrix) -> float:
-    """The value at the first equilibrium support enumeration finds.
+def first_equilibrium(payoff: PayoffMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The weights ``(x, y)`` of the first equilibrium support enumeration finds.
 
-    Every equilibrium of a zero-sum game has the same value, so this stops
-    early where a degenerate game has thousands of them.
+    This stops early where a degenerate game has thousands of equilibria.
     """
-    x, y = next(_equilibria(payoff, DEFAULT_MAX_ENUM_N, DEFAULT_VERIFY_TOL))
-    return float(x @ payoff.a @ y)
+    return next(_equilibria(payoff, DEFAULT_MAX_ENUM_N, DEFAULT_VERIFY_TOL))

@@ -1,13 +1,18 @@
 """End-to-end runs of the command line interface through ``cli.run``."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefgame as pg
 from prefgame import cli, experiment
@@ -717,3 +722,110 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["smith_ok"] is True
+
+
+# JSON numbers at the float extremes; Python's json reads and writes NaN and
+# the infinities too.
+FUZZ_NUMBERS = st.floats() | st.integers() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 5e307, 1e308, 1.7976931348623157e308, -1e308]
+)
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | FUZZ_NUMBERS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _preference_lists(draw):
+    """A valid preference matrix, so the commands that take one reach their solve."""
+    n = draw(st.integers(2, 4))
+    p = [[0.5] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p[i][j] = draw(st.sampled_from([0.0, 1e-300, 0.25, 0.75, 1.0]) | st.floats(0.0, 1.0))
+            p[j][i] = 1.0 - p[i][j]
+    return p
+
+
+FUZZ_FIELD_VALUES = st.one_of(
+    FUZZ_JSON,
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(FUZZ_NUMBERS, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.lists(FUZZ_NUMBERS, min_size=1, max_size=5),
+    st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4).map(lambda w: [x / sum(w) for x in w]),
+    st.lists(st.lists(FUZZ_NUMBERS, min_size=2, max_size=2), max_size=5),
+    _preference_lists(),
+)
+MAPPING_NUMBER_FIELDS = ("a", "b", "k", "clamp_epsilon", "m_minus", "mid", "m_plus")
+# What the file in each slot holds: any JSON, or an object with the fields its flag reads.
+FUZZ_FILES = {
+    slot: FUZZ_JSON | st.fixed_dictionaries({field: FUZZ_FIELD_VALUES}, optional={"n": FUZZ_NUMBERS})
+    for slot, field in (("pref", "p"), ("payoff", "a"), ("target", "w"), ("rewards", "rewards"))
+}
+FUZZ_FILES["psi"] = FUZZ_JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(sorted(pg.mappings._KINDS))},
+    optional={
+        **{key: FUZZ_NUMBERS | FUZZ_FIELD_VALUES for key in MAPPING_NUMBER_FIELDS},
+        "points": FUZZ_FIELD_VALUES,
+        "base": st.fixed_dictionaries({"kind": st.sampled_from(["identity", "log_odds", "power"])}),
+    },
+)
+# Every file flag of every subcommand that reads one.
+FUZZ_COMMANDS = {
+    "validate": ["validate", "--pref", "{pref}"],
+    "solve": ["solve", "--pref", "{pref}", "--psi", "{psi}"],
+    "decompose": ["decompose", "--pref", "{pref}"],
+    "check-psi": ["check-psi", "--psi", "{psi}"],
+    "verdict": ["verdict", "--pref", "{pref}", "--psi", "{psi}"],
+    "kkt": ["kkt", "--payoff", "{payoff}", "--target", "{target}"],
+    "pm-probe": ["pm-probe", "--target", "{target}"],
+    "pm-probe-degenerate": ["pm-probe", "--target", "{target}", "--family", "degenerate"],
+    "monte-carlo": ["monte-carlo", "--psi", "{psi}", "--trials", "2", "--no-timing"],
+    "btl": ["btl", "--rewards", "{rewards}"],
+}
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2 and err.startswith("usage: "):
+        # argparse's usage message: the usage lines, then one "prog: error: " line.
+        assert err.count(": error: ") == 1 and err.splitlines()[-1].startswith("prefgame ")
+    elif code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:  # a report, whose verdict picks 0 or 1
+        assert err == ""
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), output=st.sampled_from(["table", "json"]))
+def test_fuzzed_input_files_exit_cleanly(command, data, output):
+    # Warnings are errors in this suite, so a numpy warning fails here too.
+    argv = FUZZ_COMMANDS[command] + ["--format", output]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for slot in sorted(FUZZ_FILES):
+            if "{" + slot + "}" in argv:
+                paths[slot] = os.path.join(tmp, f"{slot}.json")
+                with open(paths[slot], "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(data.draw(FUZZ_FILES[slot], label=slot)))
+        _assert_clean_exit(*_run_captured([arg.format(**paths) for arg in argv]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(rewards=st.lists(FUZZ_NUMBERS.map(str) | st.text(max_size=3), max_size=5))
+def test_fuzzed_inline_rewards_exit_cleanly(rewards):
+    _assert_clean_exit(*_run_captured(["btl", "--rewards", ",".join(rewards)]))

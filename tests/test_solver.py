@@ -250,7 +250,7 @@ def test_extreme_payoffs_are_certified_or_a_typed_error(data):
     span = float(a.max()) - float(a.min())
     assume(math.isfinite(span))
     pay = pg.make_payoff(a)
-    for solve in (pg.solve_maximin, solver._solve_dantzig):
+    for solve in (pg.solve_maximin, lambda pay: solver._solve_dantzig(pay)[0]):
         try:
             nash = solve(pay)
         except pg.PrefGameError:
@@ -258,6 +258,11 @@ def test_extreme_payoffs_are_certified_or_a_typed_error(data):
         assert np.all(np.isfinite(nash.row_strategy.w)) and np.all(np.isfinite(nash.col_strategy.w))
         assert math.isfinite(nash.value)
         assert nash.exploitability <= 1e-9 * (span or 1.0)
+        try:
+            ranges = pg.uniqueness_report(pay, nash).coordinate_ranges
+        except pg.PrefGameError:
+            continue
+        assert np.all((ranges >= 0.0) & (ranges <= 1.0))
 
 
 class TestEnumeration:
@@ -411,6 +416,33 @@ class TestUniqueness:
         assert scaled.unique == report.unique
         np.testing.assert_allclose(scaled.coordinate_ranges, report.coordinate_ranges, rtol=0.0, atol=1e-9)
 
+    def test_large_span_report_is_measured_on_its_certified_face(self):
+        # Entries near 1e300 and 1e308.  A second, uncertified face LP on
+        # 2 - Âᵀ missed the value by 5.5e-8 of the span and rejected this
+        # certified report ("the payoff's value -4.95e+300 is not the
+        # report's 5.0e+299"); the face is now that of a certified solve.
+        pay = pg.make_payoff([[0, 9.99e-301, -5e299], [-0.0, 9.99e307, 0.5], [5e299, 0.999, 9.99e307]])
+        nash = solver._solve_dantzig(pay)[0]
+        assert nash.exploitability <= 1e-9 * (9.99e307 + 5e299)
+        report = pg.uniqueness_report(pay, nash)
+        assert report.unique and report.face_vertex
+
+    def test_face_that_lost_accuracy_is_an_error(self):
+        # The solve is certified, but its final tableau puts a weight 1e-3
+        # outside [0, 1], so the face read off it is not an optimal face.
+        pay = pg.make_payoff(
+            [
+                [-9.99e307, -0.999, 0.0, -1e-300, 9.99e299],
+                [5e-301, -2.5e307, -0.999, 1e-300, -0.25],
+                [5e299, -0.999, -9.99e-301, 9.99e299, 5e-301],
+                [-9.99e-301, -2.5e307, -0.5, 0.999, -1e308],
+                [5e307, 5e299, -0.999, -1e308, 5e299],
+            ]
+        )
+        nash = solver._solve_dantzig(pay)[0]
+        with pytest.raises(pg.SolverError, match=r"^the optimal face lost accuracy: weight ranges span -0\.001"):
+            pg.uniqueness_report(pay, nash)
+
 
 # The reference's floor sits this far below the value, to absorb float error
 # in it; the slack inflates its ranges by the polytope's condition number.
@@ -510,14 +542,16 @@ class TestSharedPhaseOne:
 
     def test_face_fixes_columns_with_positive_reduced_cost(self):
         # max y0 + y1 s.t. y0 + 2 y1 <= 1: the face is y0 = 1 alone.
-        result, ranges, face_columns, _ = optimal_face_ranges(np.array([[1.0, 2.0]]), 1e-9)
+        result, work, basis = _simplex.slack_basis_lp(np.array([[1.0, 2.0]]))
+        ranges, face_columns, _ = optimal_face_ranges(work, basis, 1e-9)
         assert result.status == OPTIMAL and face_columns == 1
         np.testing.assert_array_equal(ranges, [[1.0, 1.0], [0.0, 0.0]])
 
     def test_face_keeps_columns_with_zero_reduced_cost(self):
         # max y0 + y1 s.t. y0 + y1 <= 1: every point with y0 + y1 = 1 is
         # optimal, and only the slack is fixed.
-        _, ranges, face_columns, range_pivots = optimal_face_ranges(np.array([[1.0, 1.0]]), 1e-9)
+        _, work, basis = _simplex.slack_basis_lp(np.array([[1.0, 1.0]]))
+        ranges, face_columns, range_pivots = optimal_face_ranges(work, basis, 1e-9)
         assert face_columns == 2 and range_pivots > 0
         np.testing.assert_array_equal(ranges, [[0.0, 1.0], [0.0, 1.0]])
 
@@ -528,7 +562,8 @@ class TestSharedPhaseOne:
         for index in range(20):
             pay = btl_construction_one(n, index)
             a = 2.0 - solver._unit_span(pay.a)[0].T
-            _, ranges, face_columns, range_pivots = optimal_face_ranges(a, solver.DEFAULT_SOLVER_TOL)
+            _, work, basis = _simplex.slack_basis_lp(a)
+            ranges, face_columns, range_pivots = optimal_face_ranges(work, basis, solver.DEFAULT_SOLVER_TOL)
             expected, loop_pivots = range_lp_loop(a, solver.DEFAULT_SOLVER_TOL)
             assert (face_columns, range_pivots, loop_pivots) == (n, 0, 0), index
             assert ranges.tobytes() == expected.tobytes(), index
@@ -593,6 +628,20 @@ class TestSharedPhaseOne:
         assert lines[0].startswith("uniqueness probed: n=3 face_columns=")
         assert " pivots=" in lines[0] and " range_pivots=" in lines[0]
 
+    def test_face_solve_logs_its_own_line_first(self, caplog):
+        # The face is that of a certified solve on the unit game (span 1),
+        # which logs its own line; the probe's pivots are that solve's.
+        pay = pg.make_payoff(np.random.default_rng(5).random((5, 5)))
+        nash = pg.solve_maximin(pay)
+        with caplog.at_level(logging.DEBUG, logger="prefgame"):
+            pg.uniqueness_report(pay, nash)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        solved, probed = lines
+        assert solved.startswith("maximin solved: n=5 lps=1 ") and " span=1 " in solved
+        assert probed.startswith("uniqueness probed: n=5 ")
+        assert probed.split(" pivots=")[1].split()[0] == solved.split(" iterations=")[1]
+
 
 def two_lp_reference(payoff):
     """What ``solve_maximin`` reports when both players' LPs are run: both
@@ -653,6 +702,16 @@ class TestSkewSymmetricGames:
         with pytest.raises(pg.SolverError) as info:
             pg.solve_maximin(pay)
         assert str(info.value) == message
+
+    def test_uniform_six_by_six_game_fails_in_phase_one(self):
+        # 1 of the 15,000 uniform games at n 4-6 with seeds 0-4999.  Phase 1
+        # stalls with no artificial mass left; _solve_dantzig certifies the
+        # game (value 0.5224429825961612) in 7 pivots.
+        pay = pg.make_payoff(np.random.default_rng(3660).random((6, 6)))
+        with pytest.raises(pg.SolverError) as info:
+            pg.solve_maximin(pay)
+        assert str(info.value) == "phase-1 subproblem cannot be unbounded"
+        assert solver._solve_dantzig(pay)[0].exploitability <= 1e-9
 
     def test_skew_game_runs_one_lp(self, maximin_lp_calls):
         pg.solve_maximin(mapped_tournament(pg.log_odds(), 8, seed=3))
